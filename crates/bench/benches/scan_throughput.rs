@@ -277,6 +277,9 @@ fn main() {
 
     // ---- 1. Blocked vs scalar kernel throughput over the LAESA matrix.
     let matrix = PivotMatrix::compute(&pts, &L2, &pivots, 1);
+    // The kernel itself streams flat row-major rows (the matrix stores
+    // them in chunks; a slice runs the kernel once per chunk).
+    let flat: Vec<f64> = matrix.iter_rows().flat_map(|(_, r)| r.to_vec()).collect();
     let qd: Vec<f64> = pivots.iter().map(|p| L2.dist(&pts[17], p)).collect();
     let mut blocked = Vec::new();
     let mut scalar = Vec::new();
@@ -289,7 +292,7 @@ fn main() {
     };
     let run_blocked = |out: &mut Vec<f64>, best: &mut f64| {
         let t0 = Instant::now();
-        ScanKernel::lower_bounds(&qd, matrix.as_slice(), n, out);
+        ScanKernel::lower_bounds(&qd, &flat, n, out);
         *best = best.min(t0.elapsed().as_secs_f64());
     };
     for rep in 0..kernel_reps {
@@ -372,6 +375,7 @@ fn main() {
     let spts = datasets::synthetic(scale_n, 42);
     let spivots: Vec<Vec<f32>> = spts[..l].to_vec();
     let smatrix = PivotMatrix::compute(&spts, &pmi::LInf::discrete(), &spivots, 1);
+    let sflat: Vec<f64> = smatrix.iter_rows().flat_map(|(_, r)| r.to_vec()).collect();
     let smatrix32 = smatrix.clone().with_mode(pmi::ColumnMode::F32);
     let sqd: Vec<f64> = spivots
         .iter()
@@ -388,7 +392,7 @@ fn main() {
     for rep in 0..scale_reps {
         let a = |s64: &mut Vec<f64>, best: &mut f64| {
             let t0 = Instant::now();
-            ScanKernel::lower_bounds(&sqd, smatrix.as_slice(), scale_n, s64);
+            ScanKernel::lower_bounds(&sqd, &sflat, scale_n, s64);
             *best = best.min(t0.elapsed().as_secs_f64());
         };
         let b = |s32v: &mut Vec<f64>, best: &mut f64| {

@@ -14,6 +14,10 @@
 //!   applied with the trigger disabled vs enabled), and batch-serving QPS
 //!   before churn, after churn (boxes shrunk by `apply`), and on a
 //!   from-scratch engine over the same surviving objects.
+//! * **`commit_scaling`** — whether commit cost grows with the corpus:
+//!   the median one-insert commit wall at `n = 8k` and `n = 64k` (LAESA,
+//!   P = 8, one thread), gated by `update.commit_scaling_ok` (64k ≤ 2×
+//!   8k), plus 512-insert chunks per second at 8k.
 //!
 //! Real measurement mode requires `cargo bench` (cargo passes `--bench`);
 //! any other invocation (e.g. `cargo test --bench update_throughput`) runs
@@ -21,6 +25,7 @@
 
 use pmi::builder::{BuildOptions, IndexKind};
 use pmi::engine::{EngineConfig, Query, ShardedEngine};
+use pmi::obs::JsonObj;
 use pmi::{
     build_sharded_vector_engine, datasets, AdmissionPolicy, EngineReader, PartitionPolicy,
     PumpOutcome, RefreshPolicy, SubmitOutcome, SubmitQueue, UpdateBatch, L2,
@@ -106,6 +111,42 @@ fn pump_window(
     });
     let stats = queue.stats();
     (served, max_depth, stats.shed, stats.rejected)
+}
+
+/// A LAESA, P = 8, one-thread engine over `n` LA objects (the
+/// commit-scaling configuration).
+fn single_thread_engine(n: usize, opts: &BuildOptions) -> ShardedEngine<Vec<f32>> {
+    build_sharded_vector_engine(
+        IndexKind::Laesa,
+        datasets::la(n, 42),
+        L2,
+        opts,
+        &EngineConfig {
+            shards: SHARDS,
+            threads: 1,
+            refresh: RefreshPolicy::disabled(),
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::PivotSpace,
+    )
+    .expect("buildable")
+}
+
+/// Median wall of `commits` one-insert commits on a fresh `n`-object
+/// engine, seconds.
+fn one_insert_commit_secs(n: usize, opts: &BuildOptions, commits: usize) -> f64 {
+    let mut e = single_thread_engine(n, opts);
+    let fresh = datasets::la(commits, 4343);
+    let mut walls: Vec<f64> = fresh
+        .into_iter()
+        .map(|o| {
+            let mut b = UpdateBatch::new();
+            b.insert(o);
+            e.apply(&b).wall_secs
+        })
+        .collect();
+    walls.sort_by(f64::total_cmp);
+    walls[walls.len() / 2]
 }
 
 fn serve_qps(e: &ShardedEngine<Vec<f32>>, batch: &[Query<Vec<f32>>], iters: usize) -> f64 {
@@ -263,6 +304,31 @@ fn main() {
         (pumps.join().expect("pump threads panicked"), commits)
     });
     let qps_during_churn = during_served as f64 / window.as_secs_f64();
+
+    // ---- Commit scaling: a one-insert commit must cost
+    // about the same at 8x the corpus, and 512-insert chunks keep their
+    // throughput. Copy-on-write chunks make a commit O(chunks touched).
+    let (n_small, n_large) = if smoke {
+        (2_048, 16_384)
+    } else {
+        (8_192, 65_536)
+    };
+    let scaling_commits = if smoke { 16 } else { 200 };
+    let commit_small = one_insert_commit_secs(n_small, &opts, scaling_commits);
+    let commit_large = one_insert_commit_secs(n_large, &opts, scaling_commits);
+    let commit_ratio = commit_large / commit_small;
+    let commit_scaling_ok = commit_large <= 2.0 * commit_small;
+    let mut chunked = single_thread_engine(n_small, &opts);
+    let chunk_fresh = datasets::la(4 * 512, 4444);
+    let mut chunk_secs = 0.0;
+    for chunk in chunk_fresh.chunks(512) {
+        let mut b = UpdateBatch::new();
+        for o in chunk {
+            b.insert(o.clone());
+        }
+        chunk_secs += chunked.apply(&b).wall_secs;
+    }
+    let chunk_inserts_per_sec = chunk_fresh.len() as f64 / chunk_secs;
     let availability = if qps_no_churn_concurrent > 0.0 {
         qps_during_churn / qps_no_churn_concurrent
     } else {
@@ -289,6 +355,14 @@ fn main() {
     println!(
         "  re-cluster: {reclusters} pass(es) moved {moved} object(s), \
          overhead {recluster_overhead_secs:.4}s"
+    );
+    println!(
+        "  commit scaling: one-insert commit {:.1} us at n={n_small}, {:.1} us at \
+         n={n_large} ({commit_ratio:.2}x) — gate {}; 512-insert chunks at n={n_small}: \
+         {chunk_inserts_per_sec:.0} inserts/s",
+        commit_small * 1e6,
+        commit_large * 1e6,
+        if commit_scaling_ok { "OK" } else { "FAIL" }
     );
 
     if smoke {
@@ -361,6 +435,23 @@ fn main() {
         .field_u64("queue_shed", q_shed)
         .field_u64("queue_rejected", q_rejected)
         .field_bool("update.availability_ok", availability_ok)
+        .field_raw(
+            "commit_scaling",
+            &JsonObj::new()
+                .field_str("index", "LAESA")
+                .field_u64("shards", SHARDS as u64)
+                .field_u64("threads", 1)
+                .field_u64("commits", scaling_commits as u64)
+                .field_u64("n_small", n_small as u64)
+                .field_u64("n_large", n_large as u64)
+                .field_f64("commit_p50_us_small", commit_small * 1e6)
+                .field_f64("commit_p50_us_large", commit_large * 1e6)
+                .field_f64("ratio", commit_ratio)
+                .field_u64("chunk", 512)
+                .field_f64("chunk_inserts_per_sec", chunk_inserts_per_sec)
+                .finish(),
+        )
+        .field_bool("update.commit_scaling_ok", commit_scaling_ok)
         .write("BENCH_update.json");
     append_runlog(&log);
 }

@@ -484,6 +484,36 @@ mod tests {
     }
 
     #[test]
+    fn commit_scaling_gate_is_collected() {
+        // Pins the commit-scaling gate of BENCH_update.json to the
+        // sentinel: a one-insert commit at n = 64k must cost at most twice
+        // the one at n = 8k (`update.commit_scaling_ok`, decided by the
+        // bench next to its `commit_scaling` section), and a false verdict
+        // must fail `--check` beside the availability gate.
+        let point = JsonValue::parse(
+            r#"{"bench":"update_throughput","mutation":"mvcc",
+                "update.availability_ok":true,
+                "commit_scaling":{"index":"LAESA","shards":8,"threads":1,
+                                  "commits":200,"n_small":8192,"n_large":65536,
+                                  "commit_p50_us_small":90.0,
+                                  "commit_p50_us_large":1400.0,"ratio":15.6,
+                                  "chunk":512,"chunk_inserts_per_sec":400000},
+                "update.commit_scaling_ok":false}"#,
+        )
+        .unwrap();
+        let mut gates = Vec::new();
+        collect_gates("BENCH_update.json", "", &point, &mut gates);
+        let paths: Vec<&str> = gates.iter().map(|g| g.path.as_str()).collect();
+        assert_eq!(
+            paths,
+            ["update.availability_ok", "update.commit_scaling_ok"]
+        );
+        let r = analyze(&Groups::new(), &[], &gates, 3.0);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert!(r.violations[0].contains("update.commit_scaling_ok"));
+    }
+
+    #[test]
     fn runlog_lines_group_by_bench_fp_phase() {
         let body = concat!(
             r#"{"schema":"pmi-runlog-v1","bench":"a","fingerprint":"0x1","phase":"p","calls":10,"wall_secs":0.5}"#,

@@ -40,6 +40,7 @@
 //! ≥ 1 shard (`EngineError::ZeroShards` otherwise) — whose violation is an
 //! engine bug, not bad input.
 
+use crate::locator::Locator;
 use crate::merge::{merge_range, TopK};
 use crate::query::{Query, QueryResult};
 use crate::queue::{PumpOutcome, SubmitQueue};
@@ -52,8 +53,8 @@ use crate::robust::{
 };
 use crate::shard::{partition_by_assignment, partition_round_robin, Partition, Shard};
 use crate::update::{ApplyReport, CompactionPolicy, RefreshPolicy, UpdateBatch, UpdateOp};
-use pmi_metric::fault;
 use pmi_metric::lemmas::Mbb;
+use pmi_metric::{chunked, fault};
 use pmi_metric::{
     Counters, MatrixSlice, MetricIndex, Neighbor, ObjId, PivotMatrix, QueryScratch,
     SharedPivotMatrix, StorageFootprint,
@@ -63,7 +64,7 @@ use pmi_obs::{
     TraceRing,
 };
 use pmi_router::{Mapper, PartitionPolicy, RoutingTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -640,13 +641,13 @@ type MatrixPart<O> = (Partition<O>, Option<MatrixSlice>);
 fn live_members<'a, O>(
     shard: &'a Shard<O>,
     s: usize,
-    locator: &'a HashMap<ObjId, (u32, ObjId)>,
+    locator: &'a Locator,
 ) -> impl Iterator<Item = (ObjId, ObjId)> + 'a {
     shard
         .global_ids()
         .iter()
         .enumerate()
-        .filter(move |&(local, gid)| locator.get(gid) == Some(&(s as u32, local as ObjId)))
+        .filter(move |&(local, &gid)| locator.get(gid) == Some((s, local as ObjId)))
         .map(|(local, &gid)| (local as ObjId, gid))
 }
 
@@ -668,8 +669,11 @@ pub struct BatchOutcome {
 /// batch: every answer is byte-identical to serving against some quiesced
 /// prefix of the update stream. Shards shared between consecutive
 /// snapshots are the *same* `Arc` — `apply` forks only the shards a batch
-/// touches (copy-on-write), so publication cost scales with the write set,
-/// not the engine.
+/// touches. A fork shares its index's storage chunks with the original
+/// (copy-on-write [`ChunkedVec`](pmi_metric::ChunkedVec)s: matrix rows,
+/// slot tables, id tables), so a commit copies only the chunks its writes
+/// land in, and a retired snapshot keeps alive only the chunks the next
+/// one replaced.
 pub struct EngineSnapshot<O> {
     /// Publication epoch: 0 for the freshly built engine, +1 per commit.
     epoch: u64,
@@ -903,9 +907,8 @@ pub struct ShardedEngine<O> {
     compaction: CompactionPolicy,
     /// Seed for the survivor re-partition at compaction.
     partition_seed: u64,
-    /// Global id → (shard, local id) for live objects.
-    locator: HashMap<ObjId, (u32, ObjId)>,
-    next_id: ObjId,
+    /// Global id → (shard, local id); also hands out the next global id.
+    locator: Locator,
     /// Construction cost (per-shard builds; the facade adds the shared
     /// matrix cost through [`set_build_stats`](Self::set_build_stats)).
     build_stats: BuildStats,
@@ -931,20 +934,34 @@ struct ApplyTxn<O> {
     /// Staged routing table (a copy-on-write clone: shared mapper, own
     /// boxes).
     router: Option<RoutingTable<O>>,
-    locator: HashMap<ObjId, (u32, ObjId)>,
-    next_id: ObjId,
-    /// Pivot rows staged (not yet published) by this batch, keyed by
-    /// global id — lets rebox and recluster read this batch's own inserts
-    /// before the matrix publishes at commit.
-    staged: HashMap<ObjId, Vec<f64>>,
+    /// Staged locator (a copy-on-write clone on the forking path).
+    locator: Locator,
+    /// Pivot rows staged (not yet published) by this batch, in insert
+    /// order: the row of global id `g` is row `g − published rows` here —
+    /// lets rebox and recluster read this batch's own inserts before the
+    /// matrix publishes at commit.
+    staged: PivotMatrix,
+    /// `(shard, global id)` of every object this batch removed, for the
+    /// box face test.
+    removed: Vec<(usize, ObjId)>,
     /// Staged lifetime totals (committed into the engine's stats).
     stats: UpdateStats,
     report: ApplyReport,
-    /// Shards whose routing box must be recomputed at the end.
-    dirty: Vec<bool>,
 }
 
 impl<O> ApplyTxn<O> {
+    /// The pivot row of global id `gid`: published rows from `published`
+    /// (the matrix snapshot), this batch's own inserts from the staging
+    /// matrix.
+    fn row<'a>(&'a self, published: &'a PivotMatrix, gid: ObjId) -> &'a [f64] {
+        let g = gid as usize;
+        if g < published.rows() {
+            published.row(g)
+        } else {
+            self.staged.row(g - published.rows())
+        }
+    }
+
     /// Mutable access to staged shard `s`, forking it first if the
     /// published version is still shared (copy-on-write).
     fn shard_mut(&mut self, s: usize) -> &mut Shard<O> {
@@ -1233,12 +1250,13 @@ impl<O> ShardedEngine<O> {
             shards.push(b.map_err(EngineError::Build)?);
         }
 
-        let mut locator = HashMap::with_capacity(n);
-        for (s, shard) in shards.iter().enumerate() {
-            for local in 0..shard.len() {
-                locator.insert(shard.global_id(local as ObjId), (s as u32, local as ObjId));
-            }
-        }
+        let locator = Locator::from_members(
+            n,
+            shards
+                .iter()
+                .enumerate()
+                .map(|(s, shard)| (s, shard.global_ids().iter())),
+        );
 
         let build_stats = BuildStats {
             build_compdists: shards.iter().map(|s| s.counters().compdists).sum(),
@@ -1300,7 +1318,6 @@ impl<O> ShardedEngine<O> {
             compaction: cfg.compaction,
             partition_seed: cfg.partition_seed,
             locator,
-            next_id: n as ObjId,
             build_stats,
             update_stats: UpdateStats::default(),
         })
@@ -1363,6 +1380,13 @@ impl<O> ShardedEngine<O> {
     /// The routing table, when pivot-space partitioned.
     pub fn routing(&self) -> Option<&RoutingTable<O>> {
         self.router.as_deref()
+    }
+
+    /// The shared pivot-distance matrix the shards adopted (matrix builds
+    /// only). Its published snapshot is what readers' shards resolve rows
+    /// through; global id == row id.
+    pub fn matrix(&self) -> Option<&SharedPivotMatrix> {
+        self.matrix.as_ref()
     }
 
     /// Publication epoch of the current snapshot: 0 at build, +1 per
@@ -1600,7 +1624,7 @@ impl<O> ShardedEngine<O> {
 
     /// Shard and shard-local slot of a live object.
     pub fn locate(&self, id: ObjId) -> Option<(usize, ObjId)> {
-        self.locator.get(&id).map(|&(s, local)| (s as usize, local))
+        self.locator.get(id)
     }
 
     /// Applies an ordered batch of inserts and removes through the same
@@ -1656,6 +1680,7 @@ impl<O> ShardedEngine<O> {
     {
         let t0 = Instant::now();
         let span = Span::enter("apply");
+        let copies0 = chunked::copies();
         let mut clock = ObsClock::start(self.core.obs.is_enabled());
         let shard_cd0 = self.counters().compdists;
         let map_cd0 = self.update_stats.map_compdists;
@@ -1701,12 +1726,17 @@ impl<O> ShardedEngine<O> {
         );
         report.map_compdists = self.update_stats.map_compdists - map_cd0;
         report.shard_compdists = self.counters().compdists - shard_cd0;
+        let copied = chunked::copies().since(copies0);
+        report.copied_chunks = copied.chunks;
+        report.copied_bytes = copied.bytes;
         report.wall_secs = t0.elapsed().as_secs_f64();
         span.finish_with(
             &self.core.obs,
             &[
                 ("map_compdists", report.map_compdists),
                 ("shard_compdists", report.shard_compdists),
+                ("copied_chunks", report.copied_chunks),
+                ("copied_bytes", report.copied_bytes),
             ],
         );
         self.core
@@ -1718,8 +1748,9 @@ impl<O> ShardedEngine<O> {
     /// Opens an apply transaction over the current state.
     ///
     /// Copy-on-write engines stage against `Arc` clones of the published
-    /// shards (forked on first touch) plus copies of the small bookkeeping
-    /// (routing boxes, locator). Non-forkable engines take the exclusive
+    /// shards (forked on first touch) plus copies of the bookkeeping: the
+    /// routing boxes, and the locator, whose clone shares its chunks
+    /// (`O(n / chunk)`). Non-forkable engines take the exclusive
     /// path: the published snapshot is detached (readers cannot exist —
     /// [`reader`](Self::reader) refuses them) and the live state moves
     /// into the transaction to be mutated in place.
@@ -1732,11 +1763,10 @@ impl<O> ShardedEngine<O> {
                 cow: true,
                 router: self.router.as_deref().cloned(),
                 locator: self.locator.clone(),
-                next_id: self.next_id,
-                staged: HashMap::new(),
+                staged: self.staging_matrix(),
+                removed: Vec::new(),
                 stats: self.update_stats,
                 report: ApplyReport::default(),
-                dirty: vec![false; n],
             }
         } else {
             // Detach the published snapshot so the mirror Arcs become
@@ -1761,12 +1791,23 @@ impl<O> ShardedEngine<O> {
                     .take()
                     .map(|rt| Arc::try_unwrap(rt).unwrap_or_else(|rt| (*rt).clone())),
                 locator: std::mem::take(&mut self.locator),
-                next_id: self.next_id,
-                staged: HashMap::new(),
+                staged: self.staging_matrix(),
+                removed: Vec::new(),
                 stats: self.update_stats,
                 report: ApplyReport::default(),
-                dirty: vec![false; n],
             }
+        }
+    }
+
+    /// An empty matrix for a transaction's own staged rows (same width and
+    /// mode as the shared matrix; width 0 without one).
+    fn staging_matrix(&self) -> PivotMatrix {
+        match &self.matrix {
+            Some(mx) => {
+                let m = mx.snapshot();
+                PivotMatrix::new(m.width()).with_mode(m.mode())
+            }
+            None => PivotMatrix::new(0),
         }
     }
 
@@ -1806,7 +1847,7 @@ impl<O> ShardedEngine<O> {
                 }
                 UpdateOp::Remove(id) => match self.stage_remove(txn, *id) {
                     Some(s) => {
-                        txn.dirty[s] = true;
+                        txn.removed.push((s, *id));
                         txn.report.removes += 1;
                         removed_here.insert(*id);
                     }
@@ -1831,8 +1872,7 @@ impl<O> ShardedEngine<O> {
                 ("removes", txn.report.removes as u64),
             ],
         );
-        let dirty = std::mem::take(&mut txn.dirty);
-        txn.report.reboxed_shards = self.stage_rebox(txn, &dirty);
+        txn.report.reboxed_shards = self.rebox_after_removes(txn);
         self.core.obs.phase_add(
             "apply.rebox",
             1,
@@ -1861,18 +1901,12 @@ impl<O> ShardedEngine<O> {
     fn commit_txn(&mut self, mut txn: ApplyTxn<O>) {
         if let Some(mx) = &self.matrix {
             if mx.has_staged() {
+                // The publication copies at most the matrix's tail chunk.
                 // Sole-owned shards (this transaction's forks, or every
-                // shard on the exclusive path) release their cached matrix
-                // snapshot so the publication appends in place, then
-                // re-pin the fresh one. Shards still shared with the
-                // published snapshot hold only already-published rows, so
-                // their older pin stays valid — they are left alone (and
-                // their pin makes the publication copy-on-write).
-                for s in txn.shards.iter_mut() {
-                    if let Some(sh) = Arc::get_mut(s) {
-                        sh.release_rows();
-                    }
-                }
+                // shard on the exclusive path) re-pin the fresh snapshot.
+                // Shards still shared with the published snapshot hold
+                // only already-published rows, so their older pin — which
+                // shares every chunk but the tail — stays valid.
                 mx.publish();
                 for s in txn.shards.iter_mut() {
                     if let Some(sh) = Arc::get_mut(s) {
@@ -1884,7 +1918,6 @@ impl<O> ShardedEngine<O> {
         self.shards = txn.shards;
         self.router = txn.router.map(Arc::new);
         self.locator = txn.locator;
-        self.next_id = txn.next_id;
         self.update_stats = txn.stats;
         *self.core.updates.lock().unwrap_or_else(|e| e.into_inner()) = self.update_stats;
         self.publish_snapshot();
@@ -1948,13 +1981,12 @@ impl<O> ShardedEngine<O> {
                     .0
             }
         };
-        let gid = txn.next_id;
-        txn.next_id += 1;
+        let gid = txn.locator.next_id();
         let local = match &self.matrix {
             Some(mx) => {
                 let row = mx.stage_row(mapped);
                 debug_assert_eq!(row as ObjId, gid, "global id tracks shared row id");
-                txn.staged.insert(gid, mapped.clone());
+                txn.staged.push_row(mapped);
                 txn.shard_mut(si)
                     .insert_adopted(o, gid, row as ObjId, mapped)
             }
@@ -1963,28 +1995,52 @@ impl<O> ShardedEngine<O> {
         if let Some(rt) = txn.router.as_mut() {
             rt.extend(si, mapped);
         }
-        txn.locator.insert(gid, (si as u32, local));
+        txn.locator.push(si, local);
         txn.stats.inserts += 1;
         gid
     }
 
     /// The one remove path: tombstone and report the affected shard.
     fn stage_remove(&self, txn: &mut ApplyTxn<O>, id: ObjId) -> Option<usize> {
-        let (s, local) = txn.locator.remove(&id)?;
-        if txn.shard_mut(s as usize).remove_local(local) {
+        let (s, local) = txn.locator.remove(id)?;
+        if txn.shard_mut(s).remove_local(local) {
             txn.stats.removes += 1;
-            Some(s as usize)
+            Some(s)
         } else {
             None
         }
     }
 
+    /// Shrinks the staged routing boxes after this batch's removes, exactly
+    /// and only where needed. Every staged box is tight over its shard's
+    /// members plus this batch's inserts (builds, reboxes and inserts all
+    /// keep it tight), so each face is attained by some member. A removed
+    /// row strictly inside on every pivot (`lo[j] < x[j] < hi[j]`) attains
+    /// no face; if no removed row of a shard lies on a face, the survivors
+    /// still attain every face and the tight box is unchanged. Only shards
+    /// with a removed face row are recomputed ([`stage_rebox`]). Returns
+    /// how many boxes were recomputed.
+    ///
+    /// [`stage_rebox`]: Self::stage_rebox
+    fn rebox_after_removes(&self, txn: &mut ApplyTxn<O>) -> usize {
+        let removed = std::mem::take(&mut txn.removed);
+        let (Some(rt), Some(mx)) = (txn.router.as_ref(), self.matrix.as_ref()) else {
+            return 0;
+        };
+        let m = mx.snapshot();
+        let mut dirty = vec![false; txn.shards.len()];
+        for &(s, gid) in &removed {
+            dirty[s] = dirty[s] || rt.boxes()[s].on_face(txn.row(&m, gid));
+        }
+        self.stage_rebox(txn, &dirty)
+    }
+
     /// Recomputes the staged routing boxes of the flagged shards from
     /// their live members' matrix rows — published rows from the matrix
     /// snapshot, rows this batch inserted from the transaction's staging
-    /// map. Work is bounded by the dirty shards' own slot tables. Returns
-    /// how many boxes were recomputed (0 when the engine has no router or
-    /// no matrix).
+    /// matrix. Work is bounded by the dirty shards' own slot tables.
+    /// Returns how many boxes were recomputed (0 when the engine has no
+    /// router or no matrix).
     fn stage_rebox(&self, txn: &mut ApplyTxn<O>, dirty: &[bool]) -> usize {
         if !dirty.iter().any(|&d| d) {
             return 0;
@@ -2000,10 +2056,7 @@ impl<O> ShardedEngine<O> {
         for (s, _) in dirty.iter().enumerate().filter(|&(_, &d)| d) {
             let mut b = Mbb::empty(m.width());
             for (_, gid) in live_members(&txn.shards[s], s, &txn.locator) {
-                match txn.staged.get(&gid) {
-                    Some(row) => b.extend(row),
-                    None => b.extend(m.row(gid as usize)),
-                }
+                b.extend(txn.row(&m, gid));
             }
             let rt = txn.router.as_mut().expect("checked above");
             rt.shrink(s, b);
@@ -2052,15 +2105,11 @@ impl<O> ShardedEngine<O> {
         members.sort_unstable_by_key(|&(gid, _, _)| gid);
         // Pair rows, staged-aware: a member inserted by this very batch
         // has no published row yet, so its pivot vector comes from the
-        // transaction's staging map.
+        // transaction's staging matrix.
         let m = mx.snapshot();
-        let mut pair_rows =
-            PivotMatrix::with_capacity(m.width(), members.len()).with_mode(m.mode());
+        let mut pair_rows = PivotMatrix::new(m.width()).with_mode(m.mode());
         for &(gid, _, _) in &members {
-            match txn.staged.get(&gid) {
-                Some(row) => pair_rows.push_row(row),
-                None => pair_rows.push_row(m.row(gid as usize)),
-            };
+            pair_rows.push_row(txn.row(&m, gid));
         }
         let split = pmi_router::assign_pivot_space(&pair_rows, 2, RECLUSTER_SEED);
 
@@ -2088,7 +2137,7 @@ impl<O> ShardedEngine<O> {
             let new_local = txn
                 .shard_mut(target)
                 .insert_adopted(o, gid, gid, pair_rows.row(i));
-            txn.locator.insert(gid, (target as u32, new_local));
+            txn.locator.set(gid, target, new_local);
             moved += 1;
         }
         let mut reboxed = 0;
@@ -2166,8 +2215,7 @@ impl<O> ShardedEngine<O> {
         let mut txn = self.begin_txn();
         // Survivors in ascending (old) global-id order; their rank is the
         // new global id == new shared row id.
-        let mut survivors: Vec<ObjId> = txn.locator.keys().copied().collect();
-        survivors.sort_unstable();
+        let survivors: Vec<ObjId> = txn.locator.live().map(|(gid, _, _)| gid).collect();
 
         // (1) Full re-partition of the survivors on routed engines. The
         // movement tombstones this leaves behind are folded away by the
@@ -2178,50 +2226,49 @@ impl<O> ShardedEngine<O> {
                 pmi_router::assign_pivot_space(&live_rows, txn.shards.len(), self.partition_seed);
             for (rank, &gid) in survivors.iter().enumerate() {
                 let target = assignment[rank];
-                let (s, local) = txn.locator[&gid];
-                if s as usize == target {
+                let (s, local) = txn.locator.get(gid).expect("survivors are live");
+                if s == target {
                     continue;
                 }
-                let Some(o) = txn.shards[s as usize].get_local(local) else {
+                let Some(o) = txn.shards[s].get_local(local) else {
                     continue;
                 };
-                txn.shard_mut(s as usize).remove_local(local);
+                txn.shard_mut(s).remove_local(local);
                 let new_local =
                     txn.shard_mut(target)
                         .insert_adopted(o, gid, gid, live_rows.row(rank));
-                txn.locator.insert(gid, (target as u32, new_local));
+                txn.locator.set(gid, target, new_local);
             }
         }
 
-        let mut dense =
-            PivotMatrix::with_capacity(snap.width(), survivors.len()).with_mode(snap.mode());
+        let mut dense = PivotMatrix::new(snap.width()).with_mode(snap.mode());
         let mut keep: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
         let mut rows: Vec<Vec<ObjId>> = vec![Vec::new(); txn.shards.len()];
+        let mut shard_of = Vec::with_capacity(survivors.len());
         for (new_gid, &old_gid) in survivors.iter().enumerate() {
             dense.push_row(snap.row(old_gid as usize));
-            let (s, local) = txn.locator[&old_gid];
-            keep[s as usize].push(local);
-            rows[s as usize].push(new_gid as ObjId);
+            let (s, local) = txn.locator.get(old_gid).expect("survivors are live");
+            keep[s].push(local);
+            rows[s].push(new_gid as ObjId);
+            shard_of.push(s);
         }
         mx.replace(dense);
-        let mut locator = HashMap::with_capacity(survivors.len());
-        for (s, (keep, rows)) in keep.iter().zip(&rows).enumerate() {
-            if txn.shard_mut(s).compact_rows(keep, rows) {
-                // Dense rebuild: new local id i holds new global id rows[i].
-                for (local, &gid) in rows.iter().enumerate() {
-                    locator.insert(gid, (s as u32, local as ObjId));
-                }
-            } else {
-                // Tombstones kept: local ids unchanged, global ids remapped.
-                for (&local, &gid) in keep.iter().zip(rows) {
-                    locator.insert(gid, (s as u32, local));
-                }
-            }
+        let compacted: Vec<bool> = (0..txn.shards.len())
+            .map(|s| txn.shard_mut(s).compact_rows(&keep[s], &rows[s]))
+            .collect();
+        // Survivor `i` of shard `s` (new global ids ascending) is now at
+        // local id `i` after a dense rebuild, or still at `keep[s][i]`
+        // where the shard kept its tombstones.
+        let mut seen = vec![0usize; txn.shards.len()];
+        txn.locator = Locator::default();
+        for s in shard_of {
+            let i = seen[s];
+            seen[s] += 1;
+            let local = if compacted[s] { i as ObjId } else { keep[s][i] };
+            txn.locator.push(s, local);
         }
-        txn.locator = locator;
-        txn.next_id = survivors.len() as ObjId;
 
-        // (3) Tight boxes over the final membership (the staging map is
+        // (3) Tight boxes over the final membership (the staging matrix is
         // empty here — every surviving row is published in the dense
         // matrix under its new id).
         if txn.router.is_some() {
@@ -2246,8 +2293,8 @@ impl<O> ShardedEngine<O> {
 
     /// Fetches a copy of a live object by global id.
     pub fn get(&self, id: ObjId) -> Option<O> {
-        let (s, local) = *self.locator.get(&id)?;
-        self.shards[s as usize].get_local(local)
+        let (s, local) = self.locator.get(id)?;
+        self.shards[s].get_local(local)
     }
 
     /// Answers one query by probing shards serially on the calling thread
@@ -3570,7 +3617,9 @@ mod tests {
             "rebalanced under the threshold: {lens:?}"
         );
         // Every object is still served exactly once, with exact answers.
-        let single: Vec<Vec<f32>> = (0..e.next_id).filter_map(|gid| e.get(gid)).collect();
+        let single: Vec<Vec<f32>> = (0..e.locator.next_id())
+            .filter_map(|gid| e.get(gid))
+            .collect();
         assert_eq!(single.len(), e.len());
         let oracle = BruteForce::new(single, L2);
         for q in [vec![3.0f32], vec![105.0f32], vec![11.0f32]] {

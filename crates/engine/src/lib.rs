@@ -65,6 +65,7 @@
 //! ```
 
 pub mod engine;
+mod locator;
 pub mod merge;
 pub mod query;
 pub mod queue;

@@ -2,7 +2,9 @@
 //! mapping.
 
 use crate::merge::TopK;
-use pmi_metric::{Counters, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFootprint};
+use pmi_metric::{
+    ChunkedVec, Counters, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFootprint,
+};
 
 /// One shard: any [`MetricIndex`] over a disjoint partition of the dataset,
 /// plus the mapping from the index's local object ids back to global
@@ -13,10 +15,14 @@ use pmi_metric::{Counters, MetricIndex, Neighbor, ObjId, QueryScratch, StorageFo
 /// each local slot so merged answers always speak global ids.
 pub struct Shard<O> {
     index: Box<dyn MetricIndex<O>>,
-    /// Local id → global id. Slots keep their last value after a removal;
-    /// they are overwritten if the index reuses the local id.
-    global_ids: Vec<ObjId>,
+    /// Local id → global id, copy-on-write chunked so a fork shares it.
+    /// Slots keep their last value after a removal; they are overwritten
+    /// if the index reuses the local id.
+    global_ids: ChunkedVec<ObjId>,
 }
+
+/// Local slots per chunk of a shard's local→global table.
+const GLOBAL_ID_CHUNK: usize = 4096;
 
 impl<O> Shard<O> {
     /// Wraps a freshly built index whose insertion order matched
@@ -24,7 +30,10 @@ impl<O> Shard<O> {
     /// `global_ids[i]`).
     pub fn new(index: Box<dyn MetricIndex<O>>, global_ids: Vec<ObjId>) -> Self {
         debug_assert_eq!(index.len(), global_ids.len());
-        Shard { index, global_ids }
+        Shard {
+            index,
+            global_ids: ChunkedVec::from_vec(GLOBAL_ID_CHUNK, global_ids),
+        }
     }
 
     /// Number of live objects in this shard.
@@ -53,7 +62,7 @@ impl<O> Shard<O> {
     /// locator can say whether slot `i` still speaks for a live member of
     /// this shard. Lets the engine walk one shard's members without
     /// scanning the whole dataset.
-    pub fn global_ids(&self) -> &[ObjId] {
+    pub fn global_ids(&self) -> &ChunkedVec<ObjId> {
         &self.global_ids
     }
 
@@ -146,12 +155,6 @@ impl<O> Shard<O> {
         self.index.refresh_rows();
     }
 
-    /// Releases the wrapped index's snapshot ahead of a publication so the
-    /// publish can append in place (no-op for non-adopting kinds).
-    pub fn release_rows(&mut self) {
-        self.index.release_rows();
-    }
-
     /// Engine-level compaction of the wrapped index: `keep` are the old
     /// local ids of this shard's survivors (ascending global id), `rows`
     /// their row ids in the freshly compacted shared matrix — which are
@@ -161,11 +164,11 @@ impl<O> Shard<O> {
     /// global ids are remapped then).
     pub fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {
         if self.index.compact_rows(keep, rows) {
-            self.global_ids = rows.to_vec();
+            self.global_ids = ChunkedVec::from_vec(GLOBAL_ID_CHUNK, rows.to_vec());
             true
         } else {
             for (&local, &gid) in keep.iter().zip(rows) {
-                self.global_ids[local as usize] = gid;
+                self.global_ids.set(local as usize, gid);
             }
             false
         }
@@ -176,10 +179,12 @@ impl<O> Shard<O> {
         if slot == self.global_ids.len() {
             self.global_ids.push(global);
         } else if slot < self.global_ids.len() {
-            self.global_ids[slot] = global;
+            self.global_ids.set(slot, global);
         } else {
-            self.global_ids.resize(slot + 1, ObjId::MAX);
-            self.global_ids[slot] = global;
+            while self.global_ids.len() < slot {
+                self.global_ids.push(ObjId::MAX);
+            }
+            self.global_ids.push(global);
         }
     }
 
@@ -220,10 +225,11 @@ impl<O> Shard<O> {
         self.index.forkable()
     }
 
-    /// A deep, independent copy of this shard for copy-on-write mutation
-    /// (see [`MetricIndex::fork`]): byte-identical answers at fork time, a
+    /// An independent copy of this shard for copy-on-write mutation (see
+    /// [`MetricIndex::fork`]): byte-identical answers at fork time, a
     /// **shared** distance counter, and an independently mutable slot
-    /// table. `None` when the wrapped index kind does not support forking.
+    /// table whose chunks stay shared until written. `None` when the
+    /// wrapped index kind does not support forking.
     pub fn fork(&self) -> Option<Shard<O>> {
         Some(Shard {
             index: self.index.fork()?,

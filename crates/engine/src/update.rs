@@ -206,6 +206,15 @@ pub struct ApplyReport {
     pub compactions: usize,
     /// Dead matrix rows dropped by compaction.
     pub compacted_rows: u64,
+    /// Copy-on-write storage chunks the apply copied (matrix rows, slot
+    /// and id tables, f32 columns, locator): what a commit paid for
+    /// leaving the published snapshot untouched. A small commit copies a
+    /// constant number, independent of the engine's size; a compaction
+    /// rebuilds instead of copying.
+    pub copied_chunks: u64,
+    /// Shallow bytes of those chunk copies (element size × elements;
+    /// heap data owned by copied objects is not counted).
+    pub copied_bytes: u64,
     /// Wall-clock duration of the apply, seconds.
     pub wall_secs: f64,
     /// Whether the apply aborted: a fault (panic) inside the staging
@@ -256,6 +265,11 @@ impl std::fmt::Display for ApplyReport {
             self.moved_objects,
             self.compactions,
             self.compacted_rows
+        )?;
+        write!(
+            f,
+            "\n  storage: {} chunk(s) copied ({} bytes)",
+            self.copied_chunks, self.copied_bytes
         )?;
         if !self.op_errors.is_empty() {
             write!(f, "\n  op errors: {}", self.op_errors.len())?;
@@ -321,6 +335,8 @@ mod tests {
             reboxed_shards: 2,
             reclusters: 1,
             moved_objects: 7,
+            copied_chunks: 3,
+            copied_bytes: 96,
             ..ApplyReport::default()
         };
         let s = format!("{r}");
@@ -329,5 +345,6 @@ mod tests {
         assert!(s.contains("5 per routed insert"));
         assert!(s.contains("2 box(es) shrunk"));
         assert!(s.contains("moving 7 object(s)"));
+        assert!(s.contains("3 chunk(s) copied (96 bytes)"));
     }
 }

@@ -113,14 +113,6 @@ pub trait MetricIndex<O>: Send + Sync {
     /// slice.
     fn refresh_rows(&mut self) {}
 
-    /// Releases the index's adopted matrix snapshot ahead of a
-    /// publication ([`MatrixSlice::release`](crate::matrix::MatrixSlice::release)):
-    /// with every slice released the shared storage is sole-owned and the
-    /// publish appends in place instead of copying the matrix. The engine
-    /// always pairs this with [`refresh_rows`](Self::refresh_rows) before
-    /// any query can run. No-op for kinds without an adopted slice.
-    fn release_rows(&mut self) {}
-
     /// Engine-level compaction: drops every tombstoned slot, re-adding the
     /// survivors in `keep` order (old local ids — ascending global id, the
     /// order a from-scratch rebuild would use) and adopting `rows` — the
@@ -169,7 +161,7 @@ pub trait MetricIndex<O>: Send + Sync {
         false
     }
 
-    /// A deep, independent copy of this index for copy-on-write mutation:
+    /// An independent copy of this index for copy-on-write mutation:
     /// the engine forks the shards an `apply` batch touches, mutates the
     /// forks off to the side, and publishes them in one snapshot swap while
     /// readers keep serving from the originals.
@@ -180,8 +172,10 @@ pub trait MetricIndex<O>: Send + Sync {
     /// [`DistanceCounter`](crate::DistanceCounter)) so engine-level
     /// `compdists` totals stay monotone across snapshot publications.
     /// Structures behind `Arc` handles (the shared pivot matrix, the
-    /// simulated disk) may be shared rather than copied as long as reads
-    /// stay immutable. The default returns `None` (not forkable).
+    /// simulated disk, [`ChunkedVec`](crate::ChunkedVec) chunks) may be
+    /// shared rather than copied as long as reads stay immutable — a fork
+    /// should cost `O(chunks)`, not `O(n)`. The default returns `None`
+    /// (not forkable).
     fn fork(&self) -> Option<Box<dyn MetricIndex<O>>> {
         None
     }

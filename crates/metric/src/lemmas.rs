@@ -166,6 +166,17 @@ impl Mbb {
         }
     }
 
+    /// Whether `p` lies on a face of the box: `p[j] == lo[j]` or
+    /// `p[j] == hi[j]` for some pivot `j`. Removing a point that lies on no
+    /// face cannot shrink the tight box of a point set.
+    pub fn on_face(&self, p: &[f64]) -> bool {
+        debug_assert_eq!(p.len(), self.lo.len());
+        p.iter()
+            .zip(&self.lo)
+            .zip(&self.hi)
+            .any(|((x, lo), hi)| x == lo || x == hi)
+    }
+
     /// [`mbb_lower_bound`] against this box; `+∞` when the box is empty
     /// (nothing inside, so everything is prunable).
     pub fn lower_bound(&self, q_dists: &[f64]) -> f64 {

@@ -4,13 +4,15 @@
 //! `A[i][j] = d(o_i, p_j)`. Historically each index in this workspace
 //! recomputed (and re-stored) its own copy as `Vec<Option<Vec<f64>>>` — one
 //! heap allocation and one pointer chase per object on every Lemma 1 scan.
-//! [`PivotMatrix`] stores the matrix once, flat and row-major, so that
+//! [`PivotMatrix`] stores the matrix once, row-major in fixed-size chunks of
+//! [`PivotMatrix::CHUNK_ROWS`] rows, so that
 //!
 //! * it can be **built once, in parallel** ([`PivotMatrix::compute`], on the
 //!   same scoped-thread worker pool as [`crate::parallel`]) and then shared
 //!   by the router and every shard of a sharded engine,
 //! * Lemma 1 scanning is a branch-light sequential pass over contiguous
-//!   memory ([`PivotMatrix::row`] is a plain slice), and
+//!   memory ([`PivotMatrix::row`] is a plain slice; the kernel runs once per
+//!   chunk), and
 //! * the per-object lower-bound filter runs through a cache-blocked,
 //!   auto-vectorizable [`ScanKernel`] instead of one function call per row.
 //!
@@ -22,9 +24,8 @@
 //!
 //! * **Readers never block.** A query scan resolves rows through the
 //!   slice's cached snapshot — a plain `Arc` field, no lock, no atomic
-//!   read-modify-write. The old `MatrixSliceReader` guard (one
-//!   `RwLock::read` per scan) is gone; there is no lock on the serve path
-//!   at all, enforced at compile time by the API shape.
+//!   read-modify-write. There is no lock on the serve path at all, enforced
+//!   at compile time by the API shape.
 //! * **Writers publish on push/compact.** Mutation goes through `&mut`
 //!   paths (the engine's `apply`, a standalone index's `insert`), which
 //!   first *stage* rows ([`SharedPivotMatrix::stage_row`]) and then
@@ -34,6 +35,12 @@
 //!   Rust's aliasing rules guarantee no query is concurrently reading the
 //!   structure that publishes, so publication is a plain `Arc` swap under
 //!   the writers' mutex.
+//! * **Publication copies chunks, not the matrix.** The row storage and
+//!   every slice's indirection and f32 columns are
+//!   [`ChunkedVec`]s: a snapshot still pinned by a reader or an untouched
+//!   shard shares every chunk with the next one, and a publication copies
+//!   only the partly filled tail chunk it appends into (see
+//!   [`crate::chunked`]).
 //!
 //! Removal is handled *outside* the matrix: rows of tombstoned objects stay
 //! in place (ids remain row indices) and are simply never verified, because
@@ -44,6 +51,7 @@
 //! engine builds a dense matrix over the survivors, installs it as the new
 //! snapshot, and remaps every slice's row ids ([`MatrixSlice::reindex`]).
 
+use crate::chunked::ChunkedVec;
 use crate::distance::Metric;
 use crate::simd::{self, SimdTier};
 use parking_lot::Mutex;
@@ -85,12 +93,15 @@ impl ColumnMode {
 /// deriving the admissibility slack (see [`PivotMatrix::f32_slack`]).
 pub const F32_SLACK_FACTOR: f64 = 4.0;
 
-/// A flat, row-major `n × l` pivot-distance matrix with stable row ids.
+/// A row-major `n × l` pivot-distance matrix with stable row ids, stored in
+/// copy-on-write chunks of [`CHUNK_ROWS`](Self::CHUNK_ROWS) rows.
 ///
 /// Row `i` holds `(d(o_i, p_1), …, d(o_i, p_l))`. Rows are never removed —
 /// indexes with tombstoned deletion keep the row and skip it via their slot
 /// map — so row indices are stable object ids for the lifetime of the index
 /// (until an explicit engine-level compaction renumbers them wholesale).
+/// Cloning shares every chunk (`O(n / CHUNK_ROWS)`); appending copies at
+/// most the shared tail chunk.
 ///
 /// Under [`ColumnMode::F32`] the matrix itself stays f64-only — the f32
 /// representation the kernel streams is **planar** (column-major) and
@@ -99,10 +110,12 @@ pub const F32_SLACK_FACTOR: f64 = 4.0;
 /// tracks only the running max magnitude that sizes the admissibility
 /// slack; the f64 rows remain authoritative — compaction, selection and
 /// staging all operate on f64 and slices re-derive their columns.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PivotMatrix {
-    /// Row-major distances; `data[i * width + j] = d(o_i, p_j)`.
-    data: Vec<f64>,
+    /// Row-major distances in chunks of `CHUNK_ROWS · width` values; row
+    /// `i` is at offset `(i % CHUNK_ROWS) · width` of chunk
+    /// `i / CHUNK_ROWS`.
+    data: ChunkedVec<f64>,
     /// Running `max |data[..]|`, maintained only under [`ColumnMode::F32`]
     /// (it sizes the rounding slack).
     max_abs: f64,
@@ -115,11 +128,22 @@ pub struct PivotMatrix {
     rows: usize,
 }
 
+impl Default for PivotMatrix {
+    fn default() -> Self {
+        PivotMatrix::new(0)
+    }
+}
+
 impl PivotMatrix {
+    /// Rows per storage chunk: the unit a publication copies (64 KiB of
+    /// row data at `l = 8`). A power of two, so a row lookup is a shift
+    /// and a mask.
+    pub const CHUNK_ROWS: usize = 1024;
+
     /// An empty matrix over `width` pivots.
     pub fn new(width: usize) -> Self {
         PivotMatrix {
-            data: Vec::new(),
+            data: ChunkedVec::new(Self::CHUNK_ROWS * width.max(1)),
             max_abs: 0.0,
             mode: ColumnMode::F64,
             width,
@@ -127,15 +151,7 @@ impl PivotMatrix {
         }
     }
 
-    /// An empty matrix with capacity reserved for `rows` rows.
-    pub fn with_capacity(width: usize, rows: usize) -> Self {
-        PivotMatrix {
-            data: Vec::with_capacity(width * rows),
-            ..PivotMatrix::new(width)
-        }
-    }
-
-    /// Computes the full `objects × pivots` matrix, fanning rows across
+    /// Computes the full `objects × pivots` matrix, fanning chunks across
     /// `threads` scoped worker threads (1 ⇒ serial). Deterministic: the
     /// output is identical for every thread count, and with a
     /// [`CountingMetric`](crate::CountingMetric) exactly
@@ -146,37 +162,62 @@ impl PivotMatrix {
         M: Metric<O> + Sync,
     {
         let width = pivots.len();
-        let rows = objects.len();
-        let mut data = vec![0.0f64; width * rows];
-        let threads = threads.max(1);
-        if threads == 1 || rows < 2 * threads || width == 0 {
-            for (slot, o) in data.chunks_mut(width.max(1)).zip(objects) {
+        let mut m = PivotMatrix::new(width);
+        m.rows = objects.len();
+        if width == 0 {
+            return m;
+        }
+        let fill = |buf: &mut [f64], objs: &[O]| {
+            for (slot, o) in buf.chunks_mut(width).zip(objs) {
                 for (x, p) in slot.iter_mut().zip(pivots) {
                     *x = metric.dist(o, p);
                 }
             }
+        };
+        let obj_chunks: Vec<&[O]> = objects.chunks(Self::CHUNK_ROWS).collect();
+        let mut bufs: Vec<Vec<f64>> = obj_chunks
+            .iter()
+            .map(|c| vec![0.0f64; c.len() * width])
+            .collect();
+        let threads = threads.max(1);
+        if threads == 1 || objects.len() < 2 * threads {
+            for (buf, objs) in bufs.iter_mut().zip(&obj_chunks) {
+                fill(buf, objs);
+            }
         } else {
-            let chunk = rows.div_ceil(threads);
+            // Contiguous runs of rows per worker, split at row (not chunk)
+            // granularity so small matrices still fan out.
+            let per = objects.len().div_ceil(threads);
+            let mut pieces: Vec<Vec<(&mut [f64], &[O])>> =
+                (0..threads).map(|_| Vec::new()).collect();
+            let mut row = 0usize;
+            for (buf, objs) in bufs.iter_mut().zip(&obj_chunks) {
+                let (mut buf, mut objs) = (buf.as_mut_slice(), *objs);
+                while !objs.is_empty() {
+                    let t = row / per;
+                    let take = ((t + 1) * per - row).min(objs.len());
+                    let (b, rest_b) = std::mem::take(&mut buf).split_at_mut(take * width);
+                    let (o, rest_o) = objs.split_at(take);
+                    pieces[t].push((b, o));
+                    buf = rest_b;
+                    objs = rest_o;
+                    row += take;
+                }
+            }
+            let fill = &fill;
             crossbeam::thread::scope(|s| {
-                for (slot_chunk, obj_chunk) in
-                    data.chunks_mut(chunk * width).zip(objects.chunks(chunk))
-                {
+                for piece in pieces {
                     s.spawn(move |_| {
-                        for (slot, o) in slot_chunk.chunks_mut(width).zip(obj_chunk) {
-                            for (x, p) in slot.iter_mut().zip(pivots) {
-                                *x = metric.dist(o, p);
-                            }
+                        for (b, o) in piece {
+                            fill(b, o);
                         }
                     });
                 }
             })
             .expect("matrix worker thread panicked");
         }
-        PivotMatrix {
-            data,
-            rows,
-            ..PivotMatrix::new(width)
-        }
+        m.data = ChunkedVec::from_chunks(Self::CHUNK_ROWS * width, bufs);
+        m
     }
 
     /// Builds a matrix from per-object rows (each of length `width`).
@@ -205,32 +246,26 @@ impl PivotMatrix {
     pub fn set_mode(&mut self, mode: ColumnMode) {
         self.mode = mode;
         self.max_abs = 0.0;
-        self.track_max_from(0);
+        if mode == ColumnMode::F32 {
+            self.max_abs = self.data.chunks().fold(0.0, max_abs_of);
+        }
     }
 
-    /// Extends the running max magnitude from `data[from..]`. No-op under
+    /// Extends the running max magnitude over `values`. No-op under
     /// [`ColumnMode::F64`] (the slack is never consulted there).
-    fn track_max_from(&mut self, from: usize) {
-        if self.mode != ColumnMode::F32 {
-            return;
+    fn track_max(&mut self, values: &[f64]) {
+        if self.mode == ColumnMode::F32 {
+            self.max_abs = max_abs_of(self.max_abs, values);
         }
-        let mut mx = self.max_abs;
-        for &x in &self.data[from..] {
-            let a = x.abs();
-            if a > mx {
-                mx = a;
-            }
-        }
-        self.max_abs = mx;
     }
 
     /// Appends already-flat staged rows (the [`SharedPivotMatrix::publish`]
-    /// path), keeping the max magnitude in sync.
+    /// path), keeping the max magnitude in sync; leaves `staged` empty.
     pub(crate) fn append_flat(&mut self, staged: &mut Vec<f64>, staged_rows: usize) {
-        let from = self.data.len();
-        self.data.append(staged);
+        self.track_max(staged);
+        self.data.extend_from_slice(staged);
         self.rows += staged_rows;
-        self.track_max_from(from);
+        staged.clear();
     }
 
     /// Number of rows `n` (including rows of tombstoned objects).
@@ -251,16 +286,31 @@ impl PivotMatrix {
     /// Row `id` as a contiguous slice of `l` distances.
     #[inline]
     pub fn row(&self, id: usize) -> &[f64] {
-        &self.data[id * self.width..(id + 1) * self.width]
+        if self.width == 0 {
+            assert!(id < self.rows, "row {id} out of bounds");
+            return &[];
+        }
+        let chunk = self.data.chunk(id / Self::CHUNK_ROWS);
+        let off = (id % Self::CHUNK_ROWS) * self.width;
+        &chunk[off..off + self.width]
+    }
+
+    /// The longest contiguous run of rows starting at row `start`, capped
+    /// at `max_rows` and at the end of `start`'s chunk, as flat row-major
+    /// values. Requires `width > 0`.
+    fn run(&self, start: usize, max_rows: usize) -> &[f64] {
+        let chunk = self.data.chunk(start / Self::CHUNK_ROWS);
+        let off = (start % Self::CHUNK_ROWS) * self.width;
+        let end = (off + max_rows * self.width).min(chunk.len());
+        &chunk[off..end]
     }
 
     /// Appends one row, returning its row id.
     pub fn push_row(&mut self, row: &[f64]) -> usize {
         assert_eq!(row.len(), self.width, "row length must equal pivot count");
-        let from = self.data.len();
+        self.track_max(row);
         self.data.extend_from_slice(row);
         self.rows += 1;
-        self.track_max_from(from);
         self.rows - 1
     }
 
@@ -269,18 +319,22 @@ impl PivotMatrix {
     /// engine hands each shard its part of the one precomputed matrix, and
     /// the dense-survivor rebuild of engine-level compaction.
     pub fn select(&self, ids: &[u32]) -> Self {
-        let mut out = PivotMatrix::with_capacity(self.width, ids.len());
+        let mut out = PivotMatrix::new(self.width).with_mode(self.mode);
         for &id in ids {
-            out.data.extend_from_slice(self.row(id as usize));
+            out.push_row(self.row(id as usize));
         }
-        out.rows = ids.len();
-        out.set_mode(self.mode);
         out
     }
 
-    /// The whole matrix as one flat row-major slice.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
+    /// Whether storage chunk `c` is the same allocation in `self` and
+    /// `other` (neither side copied it since they were cloned apart).
+    pub fn shares_chunk(&self, other: &PivotMatrix, c: usize) -> bool {
+        self.data.shares_chunk(&other.data, c)
+    }
+
+    /// Number of storage chunks.
+    pub fn num_chunks(&self) -> usize {
+        self.data.num_chunks()
     }
 
     /// Running `max |d(o_i, p_j)|` over every stored distance (0 unless the
@@ -316,13 +370,25 @@ impl PivotMatrix {
     /// [`ColumnMode::F32`] the planar f32 columns live in the slices and
     /// are accounted by [`MatrixSlice::mem_bytes`]).
     pub fn mem_bytes(&self) -> u64 {
-        8 * self.data.len() as u64
+        8 * (self.rows * self.width) as u64
     }
+}
+
+/// `max(start, max |values|)`.
+fn max_abs_of(start: f64, values: &[f64]) -> f64 {
+    let mut mx = start;
+    for &x in values {
+        let a = x.abs();
+        if a > mx {
+            mx = a;
+        }
+    }
+    mx
 }
 
 /// The cache-blocked, branchless pivot-filter kernel: computes the Lemma 1
 /// lower bound `max_j |qd_j - row_j|` for whole *blocks* of candidate rows
-/// at once over the flat row-major storage, instead of one
+/// at once over flat row-major storage, instead of one
 /// [`pivot_lower_bound`](crate::lemmas::pivot_lower_bound) call per row.
 ///
 /// Processing [`ScanKernel::LANES`] rows per step keeps that many
@@ -334,7 +400,9 @@ impl PivotMatrix {
 /// `max` are exact and each row's reduction runs in the same pivot order —
 /// so blocked results equal scalar results **bit for bit** (unit-tested
 /// below), which is what lets every index route its filter through the
-/// kernel without changing a single exact counter.
+/// kernel without changing a single exact counter. Each row's bound depends
+/// on that row alone, so running the kernel once per storage chunk (as
+/// [`MatrixSlice`] does) yields the same bits as one pass over flat rows.
 ///
 /// On x86-64 the public entry points dispatch once (cached, overridable via
 /// `PMI_SIMD`) to explicit [`std::arch`] lanes — see [`crate::simd`] — with
@@ -415,7 +483,7 @@ impl ScanKernel {
     }
 
     /// Lower bounds for `n` contiguous rows of flat row-major storage
-    /// (`rows.len() == n * qd.len()`), appended-into `out` (cleared first).
+    /// (`rows.len() == n * qd.len()`), into `out` (cleared first).
     /// Dispatches once to the best available SIMD tier (`PMI_SIMD`
     /// overridable); every tier is bit-identical.
     pub fn lower_bounds(qd: &[f64], rows: &[f64], n: usize, out: &mut Vec<f64>) {
@@ -432,45 +500,48 @@ impl ScanKernel {
         n: usize,
         out: &mut Vec<f64>,
     ) {
-        let w = qd.len();
         out.clear();
-        if w == 0 {
-            out.resize(n, 0.0);
-            return;
+        out.resize(n, 0.0);
+        if !qd.is_empty() {
+            Self::fill(tier, qd, rows, out);
         }
-        debug_assert_eq!(rows.len(), n * w);
+    }
+
+    /// The contiguous kernel into a sized output: `out[i]` is the bound of
+    /// row `i` of `rows` (`rows.len() == out.len() * qd.len()`, `qd`
+    /// non-empty).
+    fn fill(tier: SimdTier, qd: &[f64], rows: &[f64], out: &mut [f64]) {
+        let w = qd.len();
+        assert_eq!(rows.len(), out.len() * w, "rows must hold out.len() rows");
         match tier {
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => {
-                out.resize(n, 0.0);
                 // SAFETY: dispatch/pinning is gated on runtime AVX2
                 // detection; slice lengths are checked above.
                 unsafe { simd::x86::lb_f64_avx2(qd, rows, out) }
             }
             #[cfg(target_arch = "x86_64")]
             SimdTier::Sse2 => {
-                out.resize(n, 0.0);
-                // SAFETY: SSE2 is baseline on x86-64.
+                // SAFETY: SSE2 is baseline on x86-64; lengths checked above.
                 unsafe { simd::x86::lb_f64_sse2(qd, rows, out) }
             }
-            _ => Self::lower_bounds_portable(qd, rows, n, out),
-        }
-    }
-
-    /// The portable blocked path (and the non-x86-64 implementation).
-    fn lower_bounds_portable(qd: &[f64], rows: &[f64], n: usize, out: &mut Vec<f64>) {
-        let w = qd.len();
-        debug_assert_eq!(rows.len(), n * w);
-        out.reserve(n);
-        let mut blocks = rows.chunks_exact(Self::LANES * w);
-        for block in &mut blocks {
-            let (r0, rest) = block.split_at(w);
-            let (r1, rest) = rest.split_at(w);
-            let (r2, r3) = rest.split_at(w);
-            out.extend_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
-        }
-        for row in blocks.remainder().chunks_exact(w) {
-            out.push(Self::row_max(qd, row));
+            _ => {
+                let mut blocks = rows.chunks_exact(Self::LANES * w);
+                let mut outs = out.chunks_exact_mut(Self::LANES);
+                for (block, o) in (&mut blocks).zip(&mut outs) {
+                    let (r0, rest) = block.split_at(w);
+                    let (r1, rest) = rest.split_at(w);
+                    let (r2, r3) = rest.split_at(w);
+                    o.copy_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
+                }
+                for (row, o) in blocks
+                    .remainder()
+                    .chunks_exact(w)
+                    .zip(outs.into_remainder())
+                {
+                    *o = Self::row_max(qd, row);
+                }
+            }
         }
     }
 
@@ -496,40 +567,48 @@ impl ScanKernel {
         index: &[u32],
         out: &mut Vec<f64>,
     ) {
-        let w = qd.len();
         out.clear();
-        if w == 0 {
-            out.resize(index.len(), 0.0);
-            return;
+        out.resize(index.len(), 0.0);
+        if !qd.is_empty() {
+            Self::fill_indexed(tier, qd, matrix, index, out);
         }
-        debug_assert_eq!(matrix.width(), w);
-        let data = matrix.as_slice();
+    }
+
+    /// The gather kernel into a sized output (`out.len() == index.len()`,
+    /// `qd` non-empty).
+    fn fill_indexed(
+        tier: SimdTier,
+        qd: &[f64],
+        matrix: &PivotMatrix,
+        index: &[u32],
+        out: &mut [f64],
+    ) {
+        assert_eq!(matrix.width(), qd.len(), "one query distance per pivot");
+        assert_eq!(index.len(), out.len(), "one bound per indexed row");
         match tier {
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => {
-                out.resize(index.len(), 0.0);
-                // SAFETY: runtime AVX2 detection; every index row is in
-                // bounds by the matrix's construction invariants.
-                unsafe { simd::x86::lb_f64_idx_avx2(qd, data, index, out) }
+                // SAFETY: runtime AVX2 detection; widths and lengths are
+                // checked above and every row lookup is bounds-checked.
+                unsafe { simd::x86::lb_f64_idx_avx2(qd, matrix, index, out) }
             }
             #[cfg(target_arch = "x86_64")]
             SimdTier::Sse2 => {
-                out.resize(index.len(), 0.0);
-                // SAFETY: SSE2 is baseline on x86-64.
-                unsafe { simd::x86::lb_f64_idx_sse2(qd, data, index, out) }
+                // SAFETY: SSE2 is baseline on x86-64; as above.
+                unsafe { simd::x86::lb_f64_idx_sse2(qd, matrix, index, out) }
             }
             _ => {
-                out.reserve(index.len());
                 let mut blocks = index.chunks_exact(Self::LANES);
-                for ids in &mut blocks {
-                    let r0 = &data[ids[0] as usize * w..ids[0] as usize * w + w];
-                    let r1 = &data[ids[1] as usize * w..ids[1] as usize * w + w];
-                    let r2 = &data[ids[2] as usize * w..ids[2] as usize * w + w];
-                    let r3 = &data[ids[3] as usize * w..ids[3] as usize * w + w];
-                    out.extend_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
+                let mut outs = out.chunks_exact_mut(Self::LANES);
+                for (ids, o) in (&mut blocks).zip(&mut outs) {
+                    let r0 = matrix.row(ids[0] as usize);
+                    let r1 = matrix.row(ids[1] as usize);
+                    let r2 = matrix.row(ids[2] as usize);
+                    let r3 = matrix.row(ids[3] as usize);
+                    o.copy_from_slice(&Self::block_max(qd, r0, r1, r2, r3));
                 }
-                for &id in blocks.remainder() {
-                    out.push(Self::row_max(qd, matrix.row(id as usize)));
+                for (&id, o) in blocks.remainder().iter().zip(outs.into_remainder()) {
+                    *o = Self::row_max(qd, matrix.row(id as usize));
                 }
             }
         }
@@ -559,32 +638,35 @@ impl ScanKernel {
         slack: f64,
         out: &mut Vec<f64>,
     ) {
-        let w = qd.len();
         out.clear();
-        if w == 0 {
-            out.resize(n, 0.0);
-            return;
+        out.resize(n, 0.0);
+        if !qd.is_empty() {
+            Self::fill_f32(tier, qd, cols, slack, out);
         }
-        debug_assert_eq!(cols.len(), w);
-        debug_assert!(cols.iter().all(|c| c.len() >= n));
+    }
+
+    /// The planar f32 kernel into a sized output (every column holds at
+    /// least `out.len()` rows, `qd` non-empty).
+    fn fill_f32(tier: SimdTier, qd: &[f32], cols: &[&[f32]], slack: f64, out: &mut [f64]) {
+        let n = out.len();
+        assert_eq!(cols.len(), qd.len(), "one column per pivot");
+        assert!(cols.iter().all(|c| c.len() >= n), "columns cover every row");
         match tier {
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => {
-                out.resize(n, 0.0);
                 // SAFETY: dispatch/pinning is gated on runtime AVX2
                 // detection; column lengths are checked above.
                 unsafe { simd::x86::lb_f32_planar_avx2(qd, cols, slack, out) }
             }
             #[cfg(target_arch = "x86_64")]
             SimdTier::Sse2 => {
-                out.resize(n, 0.0);
-                // SAFETY: SSE2 is baseline on x86-64.
+                // SAFETY: SSE2 is baseline on x86-64; lengths checked above.
                 unsafe { simd::x86::lb_f32_planar_sse2(qd, cols, slack, out) }
             }
             _ => {
-                out.reserve(n);
+                let mut outs = out.chunks_exact_mut(Self::LANES);
                 let mut i = 0;
-                while i + Self::LANES <= n {
+                for o in &mut outs {
                     let mut m = [0.0f32; Self::LANES];
                     for (q, col) in qd.iter().zip(cols) {
                         for (m, &x) in m.iter_mut().zip(&col[i..i + Self::LANES]) {
@@ -592,11 +674,13 @@ impl ScanKernel {
                             *m = if d > *m { d } else { *m };
                         }
                     }
-                    out.extend(m.iter().map(|&m| adjust_f32(m, slack)));
+                    for (o, &m) in o.iter_mut().zip(&m) {
+                        *o = adjust_f32(m, slack);
+                    }
                     i += Self::LANES;
                 }
-                for r in i..n {
-                    out.push(adjust_f32(Self::row_max_f32_planar(qd, cols, r), slack));
+                for (r, o) in (i..n).zip(outs.into_remainder()) {
+                    *o = adjust_f32(Self::row_max_f32_planar(qd, cols, r), slack);
                 }
             }
         }
@@ -680,7 +764,7 @@ impl SharedPivotMatrix {
         self.0.lock().snap.clone()
     }
 
-    /// An owned deep copy of the published snapshot (tests / diagnostics).
+    /// An owned copy of the published snapshot (shares its chunks).
     pub fn snapshot_owned(&self) -> PivotMatrix {
         (*self.snapshot()).clone()
     }
@@ -717,18 +801,18 @@ impl SharedPivotMatrix {
     }
 
     /// Stages one row and publishes immediately — the standalone-index
-    /// insert path (see [`MatrixSlice::push_adopt`], which also makes the
-    /// publication in-place by releasing its own snapshot first).
+    /// insert path ([`MatrixSlice::push_adopt`]).
     pub fn push_row(&self, row: &[f64]) -> usize {
         let id = self.stage_row(row);
         self.publish();
         id
     }
 
-    /// Publishes a new snapshot containing every staged row. When no other
-    /// snapshot holders remain (a sole-owner standalone index), the rows
-    /// are appended in place — amortized `O(l)` per row; otherwise one copy
-    /// of the matrix is made, amortized across the whole staged batch.
+    /// Publishes a new snapshot containing every staged row. The new
+    /// snapshot shares every full chunk with the old one; the only data
+    /// copied is the old tail chunk when another holder still pins it
+    /// (`O(chunks)` pointer copies plus at most one chunk of rows). A sole
+    /// owner appends in place.
     pub fn publish(&self) {
         let mut g = self.0.lock();
         if g.staged_rows == 0 {
@@ -784,6 +868,11 @@ impl SharedPivotMatrix {
 /// [`adopt`]/[`reindex`](Self::reindex) themselves when the adopted row is
 /// already published).
 ///
+/// The indirection and the f32 columns are [`ChunkedVec`]s of
+/// [`CHUNK_ROWS`](Self::CHUNK_ROWS) local rows: cloning a slice (an
+/// index fork) shares them, adopting a row copies at most their shared
+/// tail chunks, and the scan kernel runs once per chunk.
+///
 /// A standalone index (no engine) wraps its own freshly computed matrix via
 /// [`from_owned`](Self::from_owned), becoming the sole owner of a shared
 /// handle with an identity indirection; the code paths are the same.
@@ -794,7 +883,7 @@ pub struct MatrixSlice {
     /// the publication rule (the engine refreshes after publishing).
     snap: Arc<PivotMatrix>,
     /// Local row id → shared row id.
-    index: Vec<u32>,
+    index: ChunkedVec<u32>,
     /// Whether `index` is one consecutive run (`index[i] = index[0] + i`),
     /// which lets the scan kernel run over contiguous storage with no
     /// gather. True for standalone identity slices and single-shard
@@ -803,10 +892,12 @@ pub struct MatrixSlice {
     /// Under [`ColumnMode::F32`]: this slice's rows as **planar**
     /// (column-major) f32 columns in *local* order — `cols32[j][i]` is
     /// `row(i)[j] as f32` — so the f32 kernel streams contiguous loads no
-    /// matter how scattered `index` is. Empty under [`ColumnMode::F64`].
-    /// Shared rows are append-only and immutable, so materialized entries
-    /// never go stale; growth is tracked by `cols32_rows`.
-    cols32: Vec<Vec<f32>>,
+    /// matter how scattered `index` is. Each column is chunked like
+    /// `index`, so chunk `c` of every column covers the same local rows.
+    /// Empty under [`ColumnMode::F64`]. Shared rows are append-only and
+    /// immutable, so materialized entries never go stale; growth is
+    /// tracked by `cols32_rows`.
+    cols32: Vec<ChunkedVec<f32>>,
     /// How many leading local rows `cols32` has materialized. Lags
     /// `index.len()` only between adopting a still-staged row and the
     /// publication that makes it readable (no queries can run in between —
@@ -819,6 +910,11 @@ fn is_consecutive(index: &[u32]) -> bool {
 }
 
 impl MatrixSlice {
+    /// Local rows per chunk of the indirection and of each f32 column: the
+    /// unit an adopt copies (16 KiB per f32 column) and the length of one
+    /// scan-kernel call.
+    pub const CHUNK_ROWS: usize = 4096;
+
     /// Adopts the given shared rows, in `index` order (local row `i` is
     /// shared row `index[i]`). Every row must already be published.
     pub fn new(shared: SharedPivotMatrix, index: Vec<u32>) -> Self {
@@ -828,6 +924,7 @@ impl MatrixSlice {
             "every adopted row must exist in the shared matrix"
         );
         let consecutive = is_consecutive(&index);
+        let index = ChunkedVec::from_vec(Self::CHUNK_ROWS, index);
         let mut slice = MatrixSlice {
             shared,
             snap,
@@ -878,7 +975,7 @@ impl MatrixSlice {
     }
 
     /// Local row `local` as a contiguous slice of `l` distances — resolved
-    /// through the cached snapshot: no lock, no guard, the serve hot path.
+    /// through the cached snapshot: no lock, no guard.
     #[inline]
     pub fn row(&self, local: usize) -> &[f64] {
         self.snap.row(self.index[local] as usize)
@@ -893,7 +990,7 @@ impl MatrixSlice {
             return;
         }
         self.cols32 = (0..self.snap.width())
-            .map(|_| Vec::with_capacity(self.index.len()))
+            .map(|_| ChunkedVec::new(Self::CHUNK_ROWS))
             .collect();
         self.sync_cols32();
     }
@@ -920,30 +1017,48 @@ impl MatrixSlice {
     }
 
     /// Lemma 1 lower bounds for **all** local rows at once, through the
-    /// blocked [`ScanKernel`] (f64: contiguous fast path when the
-    /// indirection is one consecutive run, gather otherwise; f32: always
-    /// the planar streaming path over this slice's own columns), into a
-    /// reused buffer. Rows of tombstoned slots are included — computing
-    /// their bound is cheaper than branching on liveness inside the
-    /// kernel; the caller's slot map skips them in the verification pass.
+    /// blocked [`ScanKernel`] run once per storage chunk (f64: contiguous
+    /// fast path when the indirection is one consecutive run, gather
+    /// otherwise; f32: always the planar streaming path over this slice's
+    /// own columns), into a reused buffer. Bounds are bit-identical to one
+    /// kernel pass over flat rows. Rows of tombstoned slots are included —
+    /// computing their bound is cheaper than branching on liveness inside
+    /// the kernel; the caller's slot map skips them in the verification
+    /// pass.
     pub fn lower_bounds_into(&self, qd: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(qd.len(), self.width());
+        let n = self.index.len();
+        out.clear();
+        out.resize(n, 0.0);
+        let w = self.snap.width();
+        if w == 0 || n == 0 {
+            return;
+        }
+        let tier = simd::tier();
         match self.snap.mode() {
+            ColumnMode::F64 if self.consecutive => {
+                // One consecutive run of shared rows, cut at the matrix's
+                // own chunk boundaries.
+                let mut row = self.index[0] as usize;
+                let mut done = 0;
+                while done < n {
+                    let run = self.snap.run(row, n - done);
+                    let k = run.len() / w;
+                    ScanKernel::fill(tier, qd, run, &mut out[done..done + k]);
+                    done += k;
+                    row += k;
+                }
+            }
             ColumnMode::F64 => {
-                if self.consecutive && !self.index.is_empty() {
-                    let w = self.snap.width();
-                    let start = self.index[0] as usize * w;
-                    let rows = &self.snap.as_slice()[start..start + self.index.len() * w];
-                    ScanKernel::lower_bounds(qd, rows, self.index.len(), out);
-                } else {
-                    ScanKernel::lower_bounds_indexed(qd, &self.snap, &self.index, out);
+                for (c, ids) in self.index.chunks().enumerate() {
+                    let off = c * Self::CHUNK_ROWS;
+                    let out = &mut out[off..off + ids.len()];
+                    ScanKernel::fill_indexed(tier, qd, &self.snap, ids, out);
                 }
             }
             ColumnMode::F32 => {
-                let w = self.snap.width();
                 debug_assert_eq!(
-                    self.cols32_rows,
-                    self.index.len(),
+                    self.cols32_rows, n,
                     "planar columns out of sync with the indirection"
                 );
                 // Round the query's pivot distances once per scan; the
@@ -977,17 +1092,22 @@ impl MatrixSlice {
                 let slack = self.snap.f32_slack(qmax);
                 // Column refs on the stack for the common pivot counts.
                 let mut cstack: [&[f32]; 64] = [&[]; 64];
-                let cheap: Vec<&[f32]>;
-                let cols: &[&[f32]] = if w <= cstack.len() {
-                    for (s, c) in cstack.iter_mut().zip(&self.cols32) {
-                        *s = c.as_slice();
-                    }
-                    &cstack[..w]
-                } else {
-                    cheap = self.cols32.iter().map(|c| c.as_slice()).collect();
-                    &cheap
-                };
-                ScanKernel::lower_bounds_f32(qd32, cols, self.index.len(), slack, out);
+                let mut cheap: Vec<&[f32]> = Vec::new();
+                for c in 0..self.index.num_chunks() {
+                    let cols: &[&[f32]] = if w <= cstack.len() {
+                        for (s, col) in cstack.iter_mut().zip(&self.cols32) {
+                            *s = col.chunk(c);
+                        }
+                        &cstack[..w]
+                    } else {
+                        cheap.clear();
+                        cheap.extend(self.cols32.iter().map(|col| col.chunk(c)));
+                        &cheap
+                    };
+                    let off = c * Self::CHUNK_ROWS;
+                    let len = cols[0].len();
+                    ScanKernel::fill_f32(tier, qd32, cols, slack, &mut out[off..off + len]);
+                }
             }
         }
     }
@@ -1000,15 +1120,17 @@ impl MatrixSlice {
         self.sync_cols32();
     }
 
-    /// Drops the cached snapshot (replacing it with an empty placeholder)
-    /// so that an imminent publication finds the shared storage sole-owned
-    /// and appends **in place** instead of deep-copying the matrix — the
-    /// engine releases every shard's slice, publishes, then refreshes
-    /// them, all under its `&mut` borrow, so no query can observe the
-    /// placeholder. ([`push_adopt`](Self::push_adopt) is the one-slice
-    /// standalone form of the same discipline.)
-    pub fn release(&mut self) {
-        self.snap = Arc::new(PivotMatrix::default());
+    /// Appends `shared_row` to the indirection and catches the f32 columns
+    /// up, returning the new local row id.
+    fn push_index(&mut self, shared_row: usize) -> usize {
+        self.consecutive = self.consecutive
+            && self
+                .index
+                .last()
+                .is_none_or(|&last| shared_row as u32 == last + 1);
+        self.index.push(shared_row as u32);
+        self.sync_cols32();
+        self.index.len() - 1
     }
 
     /// Adopts one more shared row, returning its local row id. The row must
@@ -1025,27 +1147,17 @@ impl MatrixSlice {
                 self.snap = published;
             }
         }
-        self.consecutive = self.consecutive
-            && (self.index.is_empty() || shared_row as u32 == self.index[self.index.len() - 1] + 1);
-        self.index.push(shared_row as u32);
-        self.sync_cols32();
-        self.index.len() - 1
+        self.push_index(shared_row)
     }
 
-    /// Computes, stages, publishes and adopts one row — the standalone
-    /// insert path. Releases this slice's own snapshot first so that a
-    /// sole-owner publication appends in place (amortized `O(l)`); an
-    /// engine-shared matrix falls back to one copy (engines batch through
-    /// `stage_row` + `publish` instead).
+    /// Stages, publishes and adopts one row — the standalone insert path.
+    /// The slice drops its own pin first so that a sole owner's publication
+    /// appends in place instead of copying the tail chunk.
     pub fn push_adopt(&mut self, row: &[f64]) -> usize {
         self.snap = Arc::new(PivotMatrix::default());
         let id = self.shared.push_row(row);
         self.snap = self.shared.snapshot();
-        self.consecutive = self.consecutive
-            && (self.index.is_empty() || id as u32 == self.index[self.index.len() - 1] + 1);
-        self.index.push(id as u32);
-        self.sync_cols32();
-        self.index.len() - 1
+        self.push_index(id)
     }
 
     /// Replaces the whole indirection and re-fetches the snapshot — the
@@ -1058,7 +1170,7 @@ impl MatrixSlice {
             "every reindexed row must exist in the compacted matrix"
         );
         self.consecutive = is_consecutive(&index);
-        self.index = index;
+        self.index = ChunkedVec::from_vec(Self::CHUNK_ROWS, index);
         self.rebuild_cols32();
     }
 
@@ -1126,7 +1238,7 @@ mod tests {
         assert_eq!(s.rows(), 2);
         assert_eq!(s.row(0), &[5.0, 6.0]);
         assert_eq!(s.row(1), &[1.0, 2.0]);
-        assert_eq!(m.as_slice().len(), 6);
+        assert_eq!(m.num_chunks(), 1);
         assert_eq!(m.mem_bytes(), 48);
         let rows: Vec<_> = m.iter_rows().collect();
         assert_eq!(rows[2], (2, [5.0, 6.0].as_slice()));
@@ -1337,7 +1449,7 @@ mod tests {
         let mut s = MatrixSlice::new(shared.clone(), vec![2, 0]);
         let qd = [3.0f64, -1.0];
         let check = |s: &MatrixSlice| {
-            let fresh = MatrixSlice::new(s.shared().clone(), s.index.clone());
+            let fresh = MatrixSlice::new(s.shared().clone(), s.index.iter().copied().collect());
             let (mut got, mut want) = (Vec::new(), Vec::new());
             s.lower_bounds_into(&qd, &mut got);
             fresh.lower_bounds_into(&qd, &mut want);
@@ -1491,18 +1603,42 @@ mod tests {
 
     #[test]
     fn sole_owner_publish_appends_in_place() {
-        // A standalone slice's push_adopt releases its snapshot so the
-        // publish mutates the sole-owner Arc without copying; observable
-        // effect: the data pointer is stable across small pushes once
-        // capacity exists.
-        let mut s = MatrixSlice::from_owned(PivotMatrix::with_capacity(1, 16));
+        // A standalone slice's push_adopt drops its own pin before the
+        // publish, so the sole-owner snapshot grows without any chunk copy.
+        let mut s = MatrixSlice::from_owned(PivotMatrix::new(1).with_mode(ColumnMode::F32));
+        let before = crate::chunked::copies();
         for i in 0..10 {
             let local = s.push_adopt(&[i as f64]);
             assert_eq!(local, i);
             assert_eq!(s.row(i), &[i as f64]);
         }
+        assert_eq!(crate::chunked::copies().since(before).chunks, 0);
         assert_eq!(s.len(), 10);
         assert_eq!(s.shared().rows(), 10);
+    }
+
+    #[test]
+    fn publish_copies_only_the_pinned_tail_chunk() {
+        let n = 3 * PivotMatrix::CHUNK_ROWS + 5;
+        let shared = SharedPivotMatrix::new(PivotMatrix::from_rows(
+            2,
+            (0..n).map(|i| [i as f64, -(i as f64)]),
+        ));
+        // A reader pins the published snapshot.
+        let pinned = shared.snapshot();
+        let before = crate::chunked::copies();
+        shared.stage_row(&[1.0, 2.0]);
+        shared.publish();
+        let copied = crate::chunked::copies().since(before);
+        assert_eq!(copied.chunks, 1, "only the partly filled tail chunk");
+        assert_eq!(copied.bytes, 5 * 2 * 8);
+        let now = shared.snapshot();
+        assert_eq!(now.rows(), n + 1);
+        assert_eq!(pinned.rows(), n, "the pinned snapshot is untouched");
+        assert!((0..3).all(|c| now.shares_chunk(&pinned, c)));
+        assert!(!now.shares_chunk(&pinned, 3));
+        assert_eq!(now.row(n), &[1.0, 2.0]);
+        assert_eq!(now.row(n - 1), pinned.row(n - 1));
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub fn tier() -> SimdTier {
 /// CPU with AVX2 — which the dispatcher guarantees.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::matrix::{adjust_f32, ScanKernel};
+    use crate::matrix::{adjust_f32, PivotMatrix, ScanKernel};
     use core::arch::x86_64::*;
 
     /// `|x|` via sign-bit clear — exact, no rounding.
@@ -143,22 +143,27 @@ pub(crate) mod x86 {
         }
     }
 
-    /// The gather twin of [`lb_f64_avx2`]: row `index[i]` of `data`.
+    /// The gather twin of [`lb_f64_avx2`]: row `index[i]` of `matrix`
+    /// (each row resolved through its storage chunk, bounds-checked).
     ///
     /// # Safety
-    /// Caller verified AVX2; every `index[i] * qd.len() + qd.len()` is in
-    /// bounds of `data`; `out.len() == index.len()`.
+    /// Caller verified AVX2; `matrix.width() == qd.len()`;
+    /// `out.len() == index.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn lb_f64_idx_avx2(qd: &[f64], data: &[f64], index: &[u32], out: &mut [f64]) {
+    pub unsafe fn lb_f64_idx_avx2(
+        qd: &[f64],
+        matrix: &PivotMatrix,
+        index: &[u32],
+        out: &mut [f64],
+    ) {
         let w = qd.len();
         let n = out.len();
-        let base = data.as_ptr();
         let mut i = 0;
         while i + 4 <= n {
-            let r0 = base.add(*index.get_unchecked(i) as usize * w);
-            let r1 = base.add(*index.get_unchecked(i + 1) as usize * w);
-            let r2 = base.add(*index.get_unchecked(i + 2) as usize * w);
-            let r3 = base.add(*index.get_unchecked(i + 3) as usize * w);
+            let r0 = matrix.row(index[i] as usize).as_ptr();
+            let r1 = matrix.row(index[i + 1] as usize).as_ptr();
+            let r2 = matrix.row(index[i + 2] as usize).as_ptr();
+            let r3 = matrix.row(index[i + 3] as usize).as_ptr();
             let mut m = _mm256_setzero_pd();
             for j in 0..w {
                 let x = _mm256_set_pd(*r3.add(j), *r2.add(j), *r1.add(j), *r0.add(j));
@@ -169,8 +174,7 @@ pub(crate) mod x86 {
             i += 4;
         }
         for r in i..n {
-            let id = index[r] as usize;
-            out[r] = ScanKernel::row_max(qd, &data[id * w..id * w + w]);
+            out[r] = ScanKernel::row_max(qd, matrix.row(index[r] as usize));
         }
     }
 
@@ -246,17 +250,21 @@ pub(crate) mod x86 {
     /// The gather twin of [`lb_f64_sse2`].
     ///
     /// # Safety
-    /// Every `index[i] * qd.len() + qd.len()` is in bounds of `data`;
-    /// `out.len() == index.len()`.
+    /// `matrix.width() == qd.len()`; `out.len() == index.len()` (SSE2 is
+    /// baseline on x86-64).
     #[target_feature(enable = "sse2")]
-    pub unsafe fn lb_f64_idx_sse2(qd: &[f64], data: &[f64], index: &[u32], out: &mut [f64]) {
+    pub unsafe fn lb_f64_idx_sse2(
+        qd: &[f64],
+        matrix: &PivotMatrix,
+        index: &[u32],
+        out: &mut [f64],
+    ) {
         let w = qd.len();
         let n = out.len();
-        let base = data.as_ptr();
         let mut i = 0;
         while i + 2 <= n {
-            let r0 = base.add(*index.get_unchecked(i) as usize * w);
-            let r1 = base.add(*index.get_unchecked(i + 1) as usize * w);
+            let r0 = matrix.row(index[i] as usize).as_ptr();
+            let r1 = matrix.row(index[i + 1] as usize).as_ptr();
             let mut m = _mm_setzero_pd();
             for j in 0..w {
                 let x = _mm_set_pd(*r1.add(j), *r0.add(j));
@@ -267,8 +275,7 @@ pub(crate) mod x86 {
             i += 2;
         }
         for r in i..n {
-            let id = index[r] as usize;
-            out[r] = ScanKernel::row_max(qd, &data[id * w..id * w + w]);
+            out[r] = ScanKernel::row_max(qd, matrix.row(index[r] as usize));
         }
     }
 

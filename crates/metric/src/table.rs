@@ -5,28 +5,44 @@
 //! structures, and store the objects in a separate table"). Ids are slot
 //! positions and stay stable until removal.
 
+use crate::chunked::ChunkedVec;
 use crate::stats::ObjId;
 
 /// Slotted object storage with stable ids.
-#[derive(Clone, Debug, Default)]
+///
+/// Slots live in a copy-on-write [`ChunkedVec`] of
+/// [`CHUNK_SLOTS`](Self::CHUNK_SLOTS) slots: cloning a table (an index
+/// fork) shares every chunk, and a push or removal copies at most the one
+/// chunk it writes — including clones of that chunk's objects.
+#[derive(Clone, Debug)]
 pub struct ObjTable<O> {
-    slots: Vec<Option<O>>,
+    slots: ChunkedVec<Option<O>>,
     live: usize,
 }
 
+impl<O> Default for ObjTable<O> {
+    fn default() -> Self {
+        ObjTable::empty()
+    }
+}
+
 impl<O> ObjTable<O> {
+    /// Slots per chunk: the unit a fork's first write to a region copies
+    /// (objects included, so smaller than the plain-data chunks).
+    pub const CHUNK_SLOTS: usize = 1024;
+
     /// Builds a table from initial objects; ids are `0..n`.
     pub fn new(objects: Vec<O>) -> Self {
         ObjTable {
             live: objects.len(),
-            slots: objects.into_iter().map(Some).collect(),
+            slots: ChunkedVec::from_vec(Self::CHUNK_SLOTS, objects.into_iter().map(Some).collect()),
         }
     }
 
     /// An empty table.
     pub fn empty() -> Self {
         ObjTable {
-            slots: Vec::new(),
+            slots: ChunkedVec::new(Self::CHUNK_SLOTS),
             live: 0,
         }
     }
@@ -50,10 +66,33 @@ impl<O> ObjTable<O> {
     }
 
     /// The object at `id`, if live.
+    #[inline]
     pub fn get(&self, id: ObjId) -> Option<&O> {
         self.slots.get(id as usize).and_then(|s| s.as_ref())
     }
 
+    /// Iterates `(id, object)` over live slots in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (ObjId, &O)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|o| (i as ObjId, o)))
+    }
+
+    /// Linear lookup of an id, mimicking indexes whose deletion requires a
+    /// sequential scan (paper §6.3 on LAESA/EPT*/CPT). Returns the number of
+    /// slots visited and whether the id is live.
+    pub fn scan_for(&self, id: ObjId) -> (usize, bool) {
+        for (visited, (i, s)) in self.slots.iter().enumerate().enumerate() {
+            if i as ObjId == id {
+                return (visited + 1, s.is_some());
+            }
+        }
+        (self.slots.len(), false)
+    }
+}
+
+impl<O: Clone> ObjTable<O> {
     /// Appends an object, returning its id.
     pub fn push(&mut self, o: O) -> ObjId {
         self.slots.push(Some(o));
@@ -63,18 +102,10 @@ impl<O> ObjTable<O> {
 
     /// Tombstones `id`; returns the object if it was live.
     pub fn remove(&mut self, id: ObjId) -> Option<O> {
-        let slot = self.slots.get_mut(id as usize)?;
-        let o = slot.take()?;
+        self.get(id)?;
+        let o = self.slots.get_mut(id as usize).take();
         self.live -= 1;
-        Some(o)
-    }
-
-    /// Iterates `(id, object)` over live slots in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ObjId, &O)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|o| (i as ObjId, o)))
+        o
     }
 
     /// Drops every tombstoned slot, re-adding the live objects in `keep`
@@ -89,29 +120,20 @@ impl<O> ObjTable<O> {
             self.live,
             "compaction must keep every live slot"
         );
-        let mut old = std::mem::take(&mut self.slots);
-        self.slots = keep
-            .iter()
-            .map(|&id| {
-                Some(
-                    old[id as usize]
-                        .take()
-                        .expect("compaction keeps only live slots"),
-                )
-            })
-            .collect();
-    }
-
-    /// Linear lookup of an id, mimicking indexes whose deletion requires a
-    /// sequential scan (paper §6.3 on LAESA/EPT*/CPT). Returns the number of
-    /// slots visited and whether the id is live.
-    pub fn scan_for(&self, id: ObjId) -> (usize, bool) {
-        for (visited, (i, s)) in self.slots.iter().enumerate().enumerate() {
-            if i as ObjId == id {
-                return (visited + 1, s.is_some());
-            }
-        }
-        (self.slots.len(), false)
+        let mut old =
+            std::mem::replace(&mut self.slots, ChunkedVec::new(Self::CHUNK_SLOTS)).into_vec();
+        self.slots = ChunkedVec::from_vec(
+            Self::CHUNK_SLOTS,
+            keep.iter()
+                .map(|&id| {
+                    Some(
+                        old[id as usize]
+                            .take()
+                            .expect("compaction keeps only live slots"),
+                    )
+                })
+                .collect(),
+        );
     }
 }
 

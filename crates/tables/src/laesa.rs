@@ -150,16 +150,19 @@ where
         } = scratch;
         qd.clear();
         qd.extend(self.pivots.iter().map(|p| self.metric.dist(q, p)));
-        // Blocked kernel over all slots, then collect survivors (live and
-        // under the bound) before the exact-distance pass.
+        // Blocked kernel over all slots, then collect survivors — the slots
+        // under the bound, found from the contiguous bounds alone (cheaper
+        // to walk than the slot table), minus the tombstoned ones — before
+        // the exact-distance pass.
         self.rows.lower_bounds_into(qd, lbs);
         survivors.clear();
         survivors.extend(
-            self.table
-                .iter()
-                .filter(|&(id, _)| lbs[id as usize] <= r)
-                .map(|(id, _)| id),
+            lbs.iter()
+                .enumerate()
+                .filter(|&(_, &lb)| lb <= r)
+                .map(|(id, _)| id as ObjId),
         );
+        survivors.retain(|&id| self.table.get(id).is_some());
         for &id in survivors.iter() {
             let o = self.table.get(id).expect("survivor is live");
             // `fault::dist` is an inlined identity unless the chaos suite's
@@ -198,16 +201,20 @@ where
         // contract); the push condition stays purely local.
         self.rows.lower_bounds_into(qd, lbs);
         heap.clear();
-        for (id, o) in self.table.iter() {
+        for (id, &lb) in lbs.iter().enumerate() {
             let radius = if heap.len() < k {
                 f64::INFINITY
             } else {
                 heap.peek().expect("heap is full").dist
             };
             let prune = if radius < seed { radius } else { seed };
-            if prune.is_finite() && lbs[id as usize] > prune {
+            if prune.is_finite() && lb > prune {
                 continue;
             }
+            let id = id as ObjId;
+            let Some(o) = self.table.get(id) else {
+                continue;
+            };
             let d = self.metric.dist(q, o);
             if d < radius || heap.len() < k {
                 heap.push(Neighbor::new(id, d));
@@ -248,10 +255,6 @@ where
 
     fn refresh_rows(&mut self) {
         self.rows.refresh();
-    }
-
-    fn release_rows(&mut self) {
-        self.rows.release();
     }
 
     fn compact_rows(&mut self, keep: &[ObjId], rows: &[ObjId]) -> bool {

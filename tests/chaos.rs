@@ -22,9 +22,11 @@ use pmr::builder::{BuildOptions, IndexKind};
 use pmr::engine::{EngineConfig, Query, QueryResult};
 use pmr::fault::{self, FaultKind, FaultPlan, FaultSpec};
 use pmr::{
-    build_sharded_vector_engine, Counters, DegradeReason, FaultPolicy, PartitionPolicy,
-    QueryBudget, QueryError, ServeBudget, ShardedEngine, UpdateBatch, L2,
+    build_sharded_vector_engine, BruteForce, ColumnMode, Counters, DegradeReason, FaultPolicy,
+    MetricIndex, ObjId, PartitionPolicy, QueryBudget, QueryError, RefreshPolicy, ServeBudget,
+    ShardedEngine, UpdateBatch, L2,
 };
+use std::sync::Arc;
 use std::sync::Mutex;
 
 /// The installed fault plan is process-global: every test that arms one
@@ -550,6 +552,109 @@ fn quarantine_survives_publication_and_heal_restores_parity() {
                 "{label}: healed serving matches the control engine"
             );
             assert_eq!(healed.report.epoch, clean.report.epoch, "{label}");
+        }
+    }
+}
+
+/// Copy-on-write commits at scale: at n = 64k, a commit aborted at the
+/// last abortable point (`engine.apply.publish`) has already forked shards
+/// and copied chunks, yet the published state is untouched — the same
+/// matrix snapshot with every chunk still the original allocation, the
+/// same shard `Arc`s — because copies only ever land in the transaction's
+/// own forks. Retrying the batch commits it, copying a constant number of
+/// chunks, and the engine then answers byte-identically to `BruteForce`
+/// over the survivors.
+#[test]
+fn aborted_commit_leaves_published_chunks_untouched() {
+    quiet_injected_panics();
+    let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+
+    let n = 65_536;
+    let pts = pmr::datasets::la(n, 17);
+    let mut e = build_sharded_vector_engine(
+        IndexKind::Laesa,
+        pts.clone(),
+        L2,
+        &BuildOptions {
+            column_mode: ColumnMode::F32,
+            ..opts()
+        },
+        &EngineConfig {
+            shards: 8,
+            threads: 1,
+            refresh: RefreshPolicy::disabled(),
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap();
+    let mut batch = UpdateBatch::new();
+    batch.insert(vec![1.0f32, 2.0]).remove(4_321);
+
+    let mx = e.matrix().expect("matrix build").clone();
+    let published = mx.snapshot();
+    let pinned = (*published).clone(); // shares every chunk
+    let shards: Vec<_> = e.shards().to_vec();
+    fault::install(FaultPlan::new().with(FaultSpec::always(
+        "engine.apply.publish",
+        None,
+        FaultKind::Panic,
+    )));
+    let report = e.apply(&batch);
+    fault::clear();
+    assert!(report.aborted);
+    assert!(Arc::ptr_eq(&mx.snapshot(), &published), "no publication");
+    assert_eq!(*published, pinned);
+    assert!(
+        (0..published.num_chunks()).all(|c| published.shares_chunk(&pinned, c)),
+        "every published chunk is still the original allocation"
+    );
+    assert!(
+        e.shards()
+            .iter()
+            .zip(&shards)
+            .all(|(a, b)| Arc::ptr_eq(a, b)),
+        "the published shards are untouched"
+    );
+
+    // Retry: commits, copying a constant number of chunks.
+    let report = e.apply(&batch);
+    assert!(!report.aborted);
+    assert_eq!((report.inserts, report.removes), (1, 1));
+    let l = opts().num_pivots as u64;
+    assert!(report.copied_chunks <= l + 7, "{report}");
+    assert!(
+        published.shares_chunk(&mx.snapshot(), 0),
+        "full chunks stay shared"
+    );
+
+    // Byte-identical to brute force over the survivors (ids mapped).
+    let live: Vec<(ObjId, Vec<f32>)> = (0..=n as ObjId)
+        .filter_map(|g| e.get(g).map(|o| (g, o)))
+        .collect();
+    assert_eq!(live.len(), n);
+    let oracle = BruteForce::new(live.iter().map(|(_, o)| o.clone()).collect(), L2);
+    let radius = pmr::datasets::calibrate_radius(&pts, &L2, 0.001, 5);
+    for i in 0..32 {
+        let q = &pts[i * 2_011];
+        let mut want: Vec<ObjId> = oracle
+            .range_query(q, radius)
+            .into_iter()
+            .map(|r| live[r as usize].0)
+            .collect();
+        want.sort_unstable();
+        assert_eq!(e.range_query(q, radius), want, "range query {i}");
+        let got = e.knn_query(q, 20);
+        let want = oracle.knn_query(q, 20);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.dist.to_bits(), w.dist.to_bits(), "kNN query {i}");
+            assert_eq!(
+                e.get(g.id).as_ref(),
+                Some(&live[w.id as usize].1),
+                "kNN query {i}"
+            );
         }
     }
 }

@@ -9,7 +9,8 @@ use pmr::builder::{build_index, build_vector_index, BuildOptions, IndexKind};
 use pmr::engine::{EngineConfig, Query, ShardedEngine};
 use pmr::router::assign_pivot_space;
 use pmr::{
-    build_sharded_vector_engine, Metric, Neighbor, PartitionPolicy, PivotMatrix, RoutingTable, L2,
+    build_sharded_vector_engine, ColumnMode, MatrixSlice, Metric, Neighbor, PartitionPolicy,
+    PivotMatrix, RoutingTable, ScanKernel, SharedPivotMatrix, L2,
 };
 use proptest::prelude::*;
 
@@ -207,6 +208,101 @@ fn matrix_and_recompute_engines_scan_identically() {
                 (b.report.shards_probed, b.report.shards_pruned),
                 "{kind:?} {policy:?}: identical routing"
             );
+        }
+    }
+}
+
+/// Deterministic pseudo-random pivot distances (no RNG): row `i`, pivot
+/// `j`, with repeats, fractions and a wide magnitude range.
+fn synthetic_row(i: usize, width: usize) -> Vec<f64> {
+    (0..width)
+        .map(|j| ((i * 7919 + j * 104_729) % 10_007) as f64 / 3.0 - 1000.0)
+        .collect()
+}
+
+/// A slice's bounds must equal the scalar reference over its own rows, bit
+/// for bit: `lower_bounds_scalar` on the flat f64 rows, or
+/// `lower_bounds_scalar_f32` on planar f32 columns under the slice's slack.
+fn assert_slice_matches_scalar(slice: &MatrixSlice, qd: &[f64], what: &str) {
+    let n = slice.len();
+    let mut got = Vec::new();
+    slice.lower_bounds_into(qd, &mut got);
+    let mut want = Vec::new();
+    match slice.snapshot().mode() {
+        ColumnMode::F64 => {
+            let flat: Vec<f64> = (0..n).flat_map(|i| slice.row(i).to_vec()).collect();
+            ScanKernel::lower_bounds_scalar(qd, &flat, n, &mut want);
+        }
+        ColumnMode::F32 => {
+            let cols: Vec<Vec<f32>> = (0..slice.width())
+                .map(|j| (0..n).map(|i| slice.row(i)[j] as f32).collect())
+                .collect();
+            let cols: Vec<&[f32]> = cols.iter().map(|c| c.as_slice()).collect();
+            let qd32: Vec<f32> = qd.iter().map(|&x| x as f32).collect();
+            let qmax = qd.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            let slack = slice.snapshot().f32_slack(qmax);
+            ScanKernel::lower_bounds_scalar_f32(&qd32, &cols, n, slack, &mut want);
+        }
+    }
+    assert_eq!(got.len(), n, "{what}: one bound per local row");
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: row {i}");
+    }
+}
+
+/// The chunked scan: a slice runs the kernel once per storage chunk, so a
+/// scan across chunk boundaries — matrix chunks of `PivotMatrix::CHUNK_ROWS`
+/// rows and slice chunks of `MatrixSlice::CHUNK_ROWS` local rows — must
+/// produce bounds bit-identical to the unchunked scalar reference, for F64
+/// consecutive, F64 gather and F32 planar slices, at sizes one below, at
+/// and one above a chunk multiple, before and after a publication grows
+/// the slices and a compaction reindexes them.
+#[test]
+fn chunked_kernel_matches_scalar_across_chunk_boundaries() {
+    let width = 5;
+    let qd: Vec<f64> = (0..width).map(|j| 1.5 * j as f64 - 2.25).collect();
+    let chunk = MatrixSlice::CHUNK_ROWS;
+    assert_eq!(chunk % PivotMatrix::CHUNK_ROWS, 0);
+    for n in [3 * chunk - 1, 3 * chunk, 3 * chunk + 1] {
+        for mode in [ColumnMode::F64, ColumnMode::F32] {
+            let m = PivotMatrix::from_rows(width, (0..n).map(|i| synthetic_row(i, width)))
+                .with_mode(mode);
+            let shared = SharedPivotMatrix::new(m);
+            // Consecutive (identity) and scattered (evens, then odds).
+            let mut ident = MatrixSlice::new(shared.clone(), (0..n as u32).collect());
+            let scattered: Vec<u32> = (0..n as u32)
+                .filter(|i| i % 2 == 0)
+                .chain((0..n as u32).filter(|i| i % 2 == 1))
+                .collect();
+            let mut gather = MatrixSlice::new(shared.clone(), scattered);
+            let tag = |s: &str| format!("n={n} {} {s}", mode.label());
+            assert_slice_matches_scalar(&ident, &qd, &tag("consecutive"));
+            assert_slice_matches_scalar(&gather, &qd, &tag("gather"));
+
+            // Publication: stage rows across the next boundary, adopt them
+            // (still staged), publish, refresh.
+            let staged: Vec<usize> = (0..3)
+                .map(|k| shared.stage_row(&synthetic_row(n + k, width)))
+                .collect();
+            for &r in &staged {
+                ident.adopt(r);
+            }
+            for &r in staged.iter().rev() {
+                gather.adopt(r);
+            }
+            shared.publish();
+            ident.refresh();
+            gather.refresh();
+            assert_slice_matches_scalar(&ident, &qd, &tag("consecutive after publish"));
+            assert_slice_matches_scalar(&gather, &qd, &tag("gather after publish"));
+
+            // Compaction: drop every fifth row, renumber densely, reindex.
+            let keep: Vec<u32> = (0..(n + 3) as u32).filter(|i| i % 5 != 0).collect();
+            shared.replace(shared.snapshot().select(&keep));
+            ident.reindex((0..keep.len() as u32).collect());
+            gather.reindex((0..keep.len() as u32).rev().collect());
+            assert_slice_matches_scalar(&ident, &qd, &tag("consecutive after reindex"));
+            assert_slice_matches_scalar(&gather, &qd, &tag("gather after reindex"));
         }
     }
 }

@@ -9,9 +9,11 @@
 use pivot_metric_repro as pmr;
 use pmr::builder::{build_index, build_index_with_matrix, BuildOptions, IndexKind};
 use pmr::engine::{EngineConfig, Query, QueryResult, ShardedEngine};
+use pmr::lemmas::Mbb;
 use pmr::{
-    build_sharded_engine, datasets, BruteForce, Metric, MetricIndex, Neighbor, ObjId,
-    PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable, SharedPivotMatrix, UpdateBatch, L2,
+    build_sharded_engine, build_sharded_vector_engine, datasets, BruteForce, ColumnMode, Metric,
+    MetricIndex, Neighbor, ObjId, PartitionPolicy, PivotMatrix, RefreshPolicy, RoutingTable,
+    SharedPivotMatrix, UpdateBatch, L2,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -976,4 +978,159 @@ fn ept_updates_cost_more_than_laesa() {
     let ce = cost(&mut ept);
     assert!(cl < ce, "LAESA insert {cl} vs EPT insert {ce}");
     assert_eq!(cl, 5, "LAESA insert = |P| distances");
+}
+
+/// Every live member of every shard with its pivot-space row (mapped
+/// through the engine's own router, which computes the same distances the
+/// matrix holds), grouped by shard.
+fn shard_rows(e: &ShardedEngine<Vec<f32>>, id_bound: u32) -> Vec<Vec<(ObjId, Vec<f64>)>> {
+    let rt = e.routing().expect("routed engine");
+    let mut out = vec![Vec::new(); e.num_shards()];
+    for gid in 0..id_bound {
+        if let (Some((s, _)), Some(o)) = (e.locate(gid), e.get(gid)) {
+            let mut row = Vec::new();
+            rt.map_into(&o, &mut row);
+            out[s].push((gid, row));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Exact box upkeep on remove: `apply` recomputes a shard's routing
+    /// box only when a removed row lies on one of its faces, and otherwise
+    /// keeps the box as is. Pinned here: after every batch of random
+    /// inserts, random removes and removes of face rows (the case the face
+    /// test must not miss), every routing box equals the tight box over
+    /// its shard's live members' rows — under both column modes.
+    #[test]
+    fn routing_boxes_stay_tight_under_face_removes(
+        v in vecs(2, 60..120),
+        extra in vecs(2, 10..30),
+        ops in prop::collection::vec((0u8..3, 0usize..100_000), 12..48),
+        batch_len in 1usize..8,
+        shards_pick in 0usize..3,
+        f32_cols in any::<bool>(),
+    ) {
+        let shards = [2usize, 3, 5][shards_pick];
+        let opts = BuildOptions {
+            num_pivots: 3,
+            d_plus: 8000.0,
+            column_mode: if f32_cols { ColumnMode::F32 } else { ColumnMode::F64 },
+            ..BuildOptions::default()
+        };
+        let pivots = hfi_pivots(&v, 3);
+        let mut e = build_engine(
+            IndexKind::Laesa,
+            &v,
+            &pivots,
+            &opts,
+            shards,
+            PartitionPolicy::PivotSpace,
+        );
+        let id_bound = (v.len() + extra.len()) as u32;
+        let mut fresh = extra.iter();
+        for batch_ops in ops.chunks(batch_len) {
+            let rows = shard_rows(&e, id_bound);
+            let boxes = e.routing().expect("routed").boxes().to_vec();
+            let mut batch = UpdateBatch::new();
+            for &(kind, pick) in batch_ops {
+                let live: Vec<ObjId> = rows.iter().flatten().map(|(g, _)| *g).collect();
+                match kind {
+                    0 => {
+                        if let Some(o) = fresh.next() {
+                            batch.insert(o.clone());
+                        }
+                    }
+                    1 if !live.is_empty() => {
+                        batch.remove(live[pick % live.len()]);
+                    }
+                    _ => {
+                        // A row on a face of its shard's current box.
+                        let s = pick % shards;
+                        let face: Vec<ObjId> = rows[s]
+                            .iter()
+                            .filter(|(_, r)| boxes[s].on_face(r))
+                            .map(|(g, _)| *g)
+                            .collect();
+                        if !face.is_empty() {
+                            batch.remove(face[(pick / shards) % face.len()]);
+                        }
+                    }
+                }
+            }
+            let report = e.apply(&batch);
+            prop_assert!(!report.aborted);
+            prop_assert!(report.reboxed_shards <= report.removes);
+            let after = shard_rows(&e, id_bound);
+            let boxes = e.routing().expect("routed").boxes();
+            for (s, members) in after.iter().enumerate() {
+                let tight = Mbb::from_points(3, members.iter().map(|(_, r)| r.as_slice()));
+                prop_assert_eq!(
+                    &boxes[s], &tight,
+                    "shard {} box after {} removes", s, report.removes
+                );
+            }
+        }
+    }
+}
+
+/// The LA engine the commit-cost tests run on: LAESA, pivot-space P=8,
+/// f32 filter columns, one thread, default `l`.
+fn la_engine(n: usize) -> (Vec<Vec<f32>>, ShardedEngine<Vec<f32>>) {
+    let pts = datasets::la(n, 17);
+    let e = build_sharded_vector_engine(
+        IndexKind::Laesa,
+        pts.clone(),
+        L2,
+        &BuildOptions {
+            d_plus: 14143.0,
+            column_mode: ColumnMode::F32,
+            ..BuildOptions::default()
+        },
+        &EngineConfig {
+            shards: 8,
+            threads: 1,
+            refresh: RefreshPolicy::disabled(),
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::PivotSpace,
+    )
+    .unwrap();
+    (pts, e)
+}
+
+/// A one-pair commit (one insert, one remove) copies a constant number of
+/// storage chunks, independent of the engine's size: the matrix's tail
+/// chunk, the destination shard's slot, id and index tails plus one f32
+/// column tail per pivot, the removed object's slot chunk, and at most two
+/// locator chunks — `l + 7` at most. The bytes copied are bounded by the
+/// same chunk sizes, so a 64k engine pays no more than an 8k one.
+#[test]
+fn one_pair_commit_copies_constant_chunks() {
+    let l = BuildOptions::default().num_pivots as u64;
+    let mut per_n = Vec::new();
+    for n in [8_192usize, 65_536] {
+        let (pts, mut e) = la_engine(n);
+        let mut worst = (0u64, 0u64);
+        for i in 0..6u32 {
+            let mut batch = UpdateBatch::new();
+            batch.insert(pts[(i as usize * 97) % n].clone());
+            batch.remove(i * 1_009 % n as u32);
+            let r = e.apply(&batch);
+            assert_eq!((r.inserts, r.removes), (1, 1));
+            assert!(
+                r.copied_chunks <= l + 7,
+                "n={n}: one-pair commit copied {} chunks",
+                r.copied_chunks
+            );
+            worst = (worst.0.max(r.copied_chunks), worst.1.max(r.copied_bytes));
+        }
+        per_n.push(worst);
+    }
+    // The 64k engine's copy is the 8k engine's, not 8x it: the chunk sizes
+    // bound every copied byte.
+    assert!(per_n[1].1 <= per_n[0].1.max(1) * 2, "{per_n:?}");
 }
