@@ -314,10 +314,11 @@
 //!   the scan to AVX2/SSE2/portable at runtime ([`SimdTier`]); every
 //!   tier is bit-identical to the scalar reference, and `PMI_SIMD`
 //!   forces a tier for testing.
-//! * **Batch scheduling** — [`EngineConfig::sched`] ([`SchedPolicy`])
-//!   picks between query-parallel (workers claim whole queries; the
-//!   throughput shape) and shard-parallel (each query fans across
-//!   shards; the narrow-batch shape); `Auto` applies the cost model and
+//! * **Batch scheduling** — one claim loop serves every batch. Workers
+//!   claim whole queries (query-parallel, the throughput shape), except
+//!   that a narrow batch on a large round-robin engine splits each query
+//!   into per-worker shard lanes (shard-parallel). The engine chooses
+//!   from what it observes, no option selects it, and
 //!   [`ServeReport::strategy`] reports what ran.
 
 pub mod builder;
@@ -331,10 +332,9 @@ pub use pmi_engine::{
     AdmissionPolicy, ApplyReport, BatchOutcome, BuildStats, CompactionPolicy, Completeness,
     DegradeReason, Degraded, EngineConfig, EngineError, EngineReader, EngineScratch,
     EngineSnapshot, FaultPolicy, LatencySummary, OpError, OpErrorKind, PumpOutcome, Query,
-    QueryBudget, QueryError, QueryResult, QueryTrace, QueueStats, RefreshPolicy, SchedPolicy,
-    SchedStrategy, ServeBudget, ServeReport, ShardFaultState, ShardServeStats, ShardedEngine,
-    SubmitOutcome, SubmitQueue, TraceEvent, TraceKind, TracePolicy, UpdateBatch, UpdateOp,
-    UpdateStats,
+    QueryBudget, QueryError, QueryResult, QueryTrace, QueueStats, RefreshPolicy, SchedStrategy,
+    ServeBudget, ServeReport, ShardFaultState, ShardServeStats, ShardedEngine, SubmitOutcome,
+    SubmitQueue, TraceEvent, TraceKind, TracePolicy, UpdateBatch, UpdateOp, UpdateStats,
 };
 
 pub use pmi_obs as obs;

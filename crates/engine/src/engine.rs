@@ -41,7 +41,7 @@
 //! engine bug, not bad input.
 
 use crate::locator::Locator;
-use crate::merge::{merge_range, TopK};
+use crate::merge::{merge_lanes, TopK};
 use crate::query::{Query, QueryResult};
 use crate::queue::{PumpOutcome, SubmitQueue};
 use crate::report::{
@@ -108,49 +108,11 @@ pub struct EngineConfig {
     /// When repeated per-shard query panics quarantine a shard (see
     /// [`FaultPolicy`]; default: after 3).
     pub faults: FaultPolicy,
-    /// How [`serve`](ShardedEngine::serve) schedules a batch onto the
-    /// worker pool (see [`SchedPolicy`]; default: [`SchedPolicy::Auto`]).
-    pub sched: SchedPolicy,
-}
-
-/// How [`serve`](ShardedEngine::serve) maps a batch of queries onto the
-/// worker pool.
-///
-/// *Query-parallel* assigns whole queries to workers: each worker claims
-/// queries from a shared cursor and fans nothing, so `P` shards cost one
-/// streaming scan each and the batch scales with the query count. This is
-/// the right shape whenever the batch is at least as wide as the pool.
-///
-/// *Shard-parallel* runs the batch serially and fans each query's probe
-/// set across the pool (the single-query low-latency path of
-/// [`range_query`](ShardedEngine::range_query) /
-/// [`knn_query`](ShardedEngine::knn_query)). It only wins when the batch
-/// is *narrower* than the pool — otherwise the per-query fan-out multiplies
-/// coordination cost without adding parallelism.
-///
-/// `Auto` (the default) picks per batch with that cost model; the choice
-/// made is reported as [`ServeReport::strategy`]. Budgeted, traced, or
-/// single-threaded serving always runs query-parallel — degradation,
-/// shedding, and trace capture are implemented on the per-worker claim
-/// loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Choose per batch: query-parallel unless the batch is narrower than
-    /// the worker pool and each query plans enough rows to amortize a
-    /// per-query fan-out.
-    #[default]
-    Auto,
-    /// Always assign whole queries to workers.
-    QueryParallel,
-    /// Always fan each query across shards (falls back to query-parallel
-    /// when budgets or tracing are active, or with a single worker or a
-    /// single shard, where the fan-out cannot be honored).
-    ShardParallel,
 }
 
 /// Minimum live-object count (an upper bound on the rows one query plans)
-/// below which a per-query shard fan-out cannot amortize its scoped-thread
-/// setup; the measured crossover sits at a few thousand rows.
+/// below which splitting a query across lanes cannot amortize the extra
+/// worker per lane; the measured crossover sits at a few thousand rows.
 const SHARD_PARALLEL_MIN_ROWS: usize = 4096;
 
 impl Default for EngineConfig {
@@ -164,7 +126,6 @@ impl Default for EngineConfig {
             trace: TracePolicy::disabled(),
             budget: ServeBudget::unlimited(),
             faults: FaultPolicy::default(),
-            sched: SchedPolicy::default(),
         }
     }
 }
@@ -250,6 +211,12 @@ pub struct EngineScratch {
     /// panic attribution, skip accounting. Disarmed (the default), probe
     /// loops pay one branch per probe.
     ctl: QueryCtl,
+    /// This worker's lane of a split query: round-robin probe loops visit
+    /// only the shards `s` with `s % lanes == lane`. `lanes` of 0 or 1
+    /// (the default) visits every shard.
+    lane: usize,
+    /// See `lane`.
+    lanes: usize,
 }
 
 impl EngineScratch {
@@ -727,8 +694,6 @@ struct EngineCore<O> {
     trace: Mutex<TracePolicy>,
     /// Serving budgets, read once per batch (same discipline as `trace`).
     budget: Mutex<ServeBudget>,
-    /// How `serve` schedules batches onto workers, read once per batch.
-    sched: Mutex<SchedPolicy>,
     /// When repeated per-shard panics quarantine a shard.
     faults: FaultPolicy,
     /// Per-shard panic counts and quarantine flags.
@@ -1297,7 +1262,6 @@ impl<O> ShardedEngine<O> {
             obs,
             trace: Mutex::new(cfg.trace),
             budget: Mutex::new(cfg.budget),
-            sched: Mutex::new(cfg.sched),
             faults: cfg.faults,
             quarantine: QuarantineState::new(num_shards),
             validator: Mutex::new(None),
@@ -1501,18 +1465,6 @@ impl<O> ShardedEngine<O> {
     /// The engine's shard quarantine policy.
     pub fn fault_policy(&self) -> FaultPolicy {
         self.core.faults
-    }
-
-    /// The configured batch scheduling policy (see [`SchedPolicy`]).
-    pub fn sched_policy(&self) -> SchedPolicy {
-        *self.core.sched.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Replaces the batch scheduling policy (takes effect for the next
-    /// [`serve`](Self::serve) batch). Lets an A/B comparison reuse one
-    /// built engine instead of rebuilding per policy.
-    pub fn set_sched(&mut self, sched: SchedPolicy) {
-        *self.core.sched.lock().unwrap_or_else(|e| e.into_inner()) = sched;
     }
 
     /// Installs a query/insert object validator: objects it rejects fail
@@ -2369,6 +2321,8 @@ impl<O> EngineCore<O> {
             obs,
             trace,
             ctl,
+            lane,
+            lanes,
             ..
         } = scratch;
         // Sampled queries pay one extra clock read per phase boundary; the
@@ -2377,19 +2331,21 @@ impl<O> EngineCore<O> {
         // snapshots — neither exists on the untraced path.
         let mut clock = ObsClock::start(obs.sampled);
         let mut tclock = ObsClock::start(trace.active);
-        match &snap.router {
+        let pruned = match &snap.router {
             Some(rt) => {
                 rt.map_into(q, mapped);
                 rt.range_plan_into(mapped, radius, probe);
                 if obs.timing {
                     obs.map_dists += mapped.len() as u64;
                 }
+                snap.shards.len() - probe.len()
             }
             None => {
                 probe.clear();
-                probe.extend(0..snap.shards.len());
+                probe.extend((*lane..snap.shards.len()).step_by((*lanes).max(1)));
+                0
             }
-        }
+        };
         obs.plan_nanos += clock.lap();
         if trace.active {
             // Per-shard plan verdicts: range planning keeps shard order, so
@@ -2429,7 +2385,7 @@ impl<O> EngineCore<O> {
             trace.ring.push(TraceEvent::PlanDone {
                 shards: snap.shards.len() as u32,
                 probed: probe.len() as u32,
-                pruned: (snap.shards.len() - probe.len()) as u32,
+                pruned: pruned as u32,
                 map_dists: mapped.len() as u64,
                 nanos: tclock.lap(),
             });
@@ -2487,7 +2443,7 @@ impl<O> EngineCore<O> {
         }
         // Skipped probes count as neither probed nor pruned: the plan
         // wanted them, the budget (or quarantine) withheld them.
-        self.note_probes(executed, snap.shards.len() - probe.len());
+        self.note_probes(executed, pruned);
         // Shards are disjoint partitions: the union is concatenation plus
         // one sort for determinism.
         ids.sort_unstable();
@@ -2522,6 +2478,8 @@ impl<O> EngineCore<O> {
             obs,
             trace,
             ctl,
+            lane,
+            lanes,
             ..
         } = scratch;
         topk.reset(k);
@@ -2626,7 +2584,7 @@ impl<O> EngineCore<O> {
                     });
                 }
                 let mut probed = 0usize;
-                for (s, shard) in snap.shards.iter().enumerate() {
+                for s in (*lane..snap.shards.len()).step_by((*lanes).max(1)) {
                     if guarded {
                         if self.quarantine.is_quarantined(s) {
                             ctl.skip(DegradeReason::Quarantined);
@@ -2652,7 +2610,7 @@ impl<O> EngineCore<O> {
                         (snap.shards[s].counters(), qs.kernel_rows, qs.kernel_blocks)
                     });
                     let seed = topk.threshold();
-                    shard.knn_into_with(q, k, seed, qs, nbrs, topk);
+                    snap.shards[s].knn_into_with(q, k, seed, qs, nbrs, topk);
                     if let Some(c0) = cd0 {
                         ctl.spent += snap.shards[s].counters().compdists.saturating_sub(c0);
                     }
@@ -2686,134 +2644,31 @@ impl<O> EngineCore<O> {
         out
     }
 
-    /// The shards `MRQ(q, r)` must probe: all of them for round-robin
-    /// engines, the router's Lemma 1 survivors otherwise. Also records the
-    /// probe/prune counts. (Allocating planner for the parallel
-    /// single-query path; batch serving plans through [`EngineScratch`].)
-    fn range_probe_set(&self, snap: &EngineSnapshot<O>, q: &O, radius: f64) -> Vec<usize> {
-        let mut probe = Vec::new();
-        match &snap.router {
-            Some(rt) => {
-                let mut qd = Vec::new();
-                rt.map_into(q, &mut qd);
-                rt.range_plan_into(&qd, radius, &mut probe);
-            }
-            None => probe.extend(0..snap.shards.len()),
-        }
-        let pruned = snap.shards.len() - probe.len();
-        if self.quarantine.any() {
-            // Quarantine skips count as neither probed nor pruned.
-            probe.retain(|&s| !self.quarantine.is_quarantined(s));
-        }
-        self.note_probes(probe.len(), pruned);
-        probe
+    /// Exact `MRQ(q, r)` on the calling thread: the serial probe path,
+    /// unbudgeted (budgets are a serve-path contract) but routed around
+    /// quarantined shards. Returns global ids sorted ascending.
+    fn range_query(&self, snap: &EngineSnapshot<O>, q: &O, radius: f64) -> Vec<ObjId> {
+        self.range_with(snap, q, radius, &mut self.unbudgeted_scratch())
     }
 
-    /// Probes the given shards serially and merges the range union.
-    fn range_over(
-        &self,
-        snap: &EngineSnapshot<O>,
-        probe: &[usize],
-        q: &O,
-        radius: f64,
-    ) -> Vec<ObjId> {
-        merge_range(
-            probe
-                .iter()
-                .map(|&s| snap.shards[s].range_global(q, radius))
-                .collect(),
-        )
+    /// Exact `MkNNQ(q, k)` on the calling thread (see
+    /// [`range_query`](Self::range_query)). Sorted ascending by
+    /// `(distance, global id)`.
+    fn knn_query(&self, snap: &EngineSnapshot<O>, q: &O, k: usize) -> Vec<Neighbor> {
+        self.knn_with(snap, q, k, &mut self.unbudgeted_scratch())
+    }
+
+    /// Fresh scratch with the quarantine guard armed and no budget.
+    fn unbudgeted_scratch(&self) -> EngineScratch {
+        let mut scratch = EngineScratch::new();
+        scratch
+            .ctl
+            .begin(QueryBudget::unlimited(), self.quarantine.any());
+        scratch
     }
 }
 
 impl<O: Send + Sync> EngineCore<O> {
-    /// Metric range query `MRQ(q, r)`, fanned across the shards the planner
-    /// selects on at most `threads` scoped worker threads (the low-latency
-    /// path for a single query). Returns global ids sorted ascending.
-    fn range_query(&self, snap: &EngineSnapshot<O>, q: &O, radius: f64) -> Vec<ObjId> {
-        let probe = self.range_probe_set(snap, q, radius);
-        if probe.len() <= 1 || self.threads <= 1 {
-            return self.range_over(snap, &probe, q, radius);
-        }
-        let chunk = probe.len().div_ceil(self.threads);
-        let partials: Vec<Vec<ObjId>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = probe
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move |_| {
-                        group
-                            .iter()
-                            .map(|&s| snap.shards[s].range_global(q, radius))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("range worker panicked"))
-                .collect()
-        })
-        .expect("range scope panicked");
-        merge_range(partials)
-    }
-
-    /// Metric kNN query `MkNNQ(q, k)`. Round-robin engines fan the query
-    /// across all shards on scoped worker threads and merge through a
-    /// bounded binary heap; routed engines probe best-first on the calling
-    /// thread instead, because each probe tightens the cutoff that prunes
-    /// the shards after it (batch serving still parallelizes across
-    /// queries). Sorted ascending by `(distance, global id)`.
-    fn knn_query(&self, snap: &EngineSnapshot<O>, q: &O, k: usize) -> Vec<Neighbor> {
-        if snap.router.is_some() || snap.shards.len() == 1 || self.threads <= 1 {
-            let mut scratch = EngineScratch::new();
-            // Arm the quarantine guard (no budget — single-query calls are
-            // unbudgeted by contract) so planning routes around
-            // quarantined shards here too.
-            scratch
-                .ctl
-                .begin(QueryBudget::unlimited(), self.quarantine.any());
-            return self.knn_with(snap, q, k, &mut scratch);
-        }
-        let live: Vec<&Arc<Shard<O>>> = if self.quarantine.any() {
-            snap.shards
-                .iter()
-                .enumerate()
-                .filter(|(s, _)| !self.quarantine.is_quarantined(*s))
-                .map(|(_, sh)| sh)
-                .collect()
-        } else {
-            snap.shards.iter().collect()
-        };
-        self.note_probes(live.len(), 0);
-        let chunk = live.len().max(1).div_ceil(self.threads);
-        let partials: Vec<Vec<Neighbor>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = live
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move |_| {
-                        // Each worker pre-merges its shard group, so at most
-                        // k candidates per group reach the global merge.
-                        let mut topk = TopK::new(k);
-                        for s in group {
-                            s.knn_into(q, k, &mut topk);
-                        }
-                        topk.into_sorted()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("knn worker panicked"))
-                .collect()
-        })
-        .expect("knn scope panicked");
-        let mut topk = TopK::new(k);
-        for p in partials {
-            topk.offer_all(p);
-        }
-        topk.into_sorted()
-    }
-
     /// Up-front validation of one query: the typed error a malformed query
     /// fails with, decided before any shard is touched. Index-level k=0
     /// stays an empty answer (the trait contract); the serve boundary
@@ -2842,51 +2697,41 @@ impl<O: Send + Sync> EngineCore<O> {
         }
     }
 
-    /// Picks the scheduling strategy for one batch (see [`SchedPolicy`]).
-    ///
-    /// Budgeted, traced, single-worker, and single-shard serving always
-    /// run query-parallel: degradation, shedding, and trace capture live
-    /// on the per-worker claim loop, and a 1-thread or 1-shard engine has
-    /// nothing to fan a query across. Past those guards the configured
-    /// policy wins; `Auto` goes query-parallel whenever the batch can
-    /// saturate the pool with whole queries (`batch >= threads`) — the
-    /// cheapest parallelism there is — and otherwise fans each query
-    /// across shards, provided a query plans enough rows
-    /// ([`SHARD_PARALLEL_MIN_ROWS`]) to amortize the per-query
-    /// scoped-thread setup.
-    fn choose_strategy(
+    /// How many lanes each query of a batch splits into — the engine's
+    /// one scheduling decision, made from what it can observe. A query
+    /// splits only on round-robin engines (every query probes every shard,
+    /// so lanes divide its work evenly; a router's best-first kNN cutoff
+    /// would lose its sequence), with at least
+    /// [`SHARD_PARALLEL_MIN_ROWS`] live rows to amortize the extra worker,
+    /// no budget and no tracing (their per-query clocks, spending and
+    /// trace rings belong to one worker), and enough idle workers for
+    /// `min(threads / batch, shards) >= 2` lanes. Otherwise 1: whole
+    /// queries per worker.
+    fn lanes(
         &self,
         snap: &EngineSnapshot<O>,
         batch_len: usize,
         budget: &ServeBudget,
         tpolicy: &TracePolicy,
-    ) -> SchedStrategy {
-        if self.threads <= 1 || snap.shards.len() <= 1 || budget.enabled() || tpolicy.enabled() {
-            return SchedStrategy::QueryParallel;
+    ) -> usize {
+        if snap.router.is_some()
+            || batch_len == 0
+            || budget.enabled()
+            || tpolicy.enabled()
+            || snap.len() < SHARD_PARALLEL_MIN_ROWS
+        {
+            return 1;
         }
-        let sched = *self.sched.lock().unwrap_or_else(|e| e.into_inner());
-        match sched {
-            SchedPolicy::QueryParallel => SchedStrategy::QueryParallel,
-            SchedPolicy::ShardParallel => SchedStrategy::ShardParallel,
-            SchedPolicy::Auto => {
-                if batch_len >= self.threads || snap.len() < SHARD_PARALLEL_MIN_ROWS {
-                    SchedStrategy::QueryParallel
-                } else {
-                    SchedStrategy::ShardParallel
-                }
-            }
-        }
+        (self.threads / batch_len).clamp(1, snap.shards.len())
     }
 
-    /// Serves a batch of mixed queries on the worker pool. Under
-    /// query-parallel scheduling (the default; see [`SchedPolicy`]) each
-    /// worker claims queries from a shared atomic cursor, executes them
-    /// against the shards the planner selects through its own reused
-    /// [`EngineScratch`], merges, and records the per-query latency from a
-    /// monotonic clock. Under shard-parallel scheduling the batch runs
-    /// serially and each query fans its probe set across the pool (the
-    /// single-query low-latency path). Returns the merged answers in batch
-    /// order plus a [`ServeReport`] that names the strategy used.
+    /// Serves a batch of mixed queries on the worker pool: each worker
+    /// claims `(query, lane)` tasks from a shared atomic cursor, executes
+    /// them against the shards the planner selects through its own reused
+    /// [`EngineScratch`], and returns its answers; a split query's lane
+    /// partials then merge once (see [`lanes`](Self::lanes) for when a
+    /// query splits). Returns the answers in batch order plus a
+    /// [`ServeReport`] that names the strategy used.
     ///
     /// The report's `cost` is the delta of the aggregate counters across
     /// the batch — exact for everything this engine's shards executed in
@@ -2902,7 +2747,6 @@ impl<O: Send + Sync> EngineCore<O> {
     /// degrade or shed per item rather than erroring, and a panicking
     /// query is contained here while the rest of the batch completes.
     fn serve(&self, snap: &EngineSnapshot<O>, batch: &[Query<O>]) -> BatchOutcome {
-        let workers = self.threads.min(batch.len()).max(1);
         let shard_before: Vec<Counters> = snap.shards.iter().map(|s| s.counters()).collect();
         let before = shard_before
             .iter()
@@ -2920,14 +2764,14 @@ impl<O: Send + Sync> EngineCore<O> {
         let tpolicy = self.trace_policy();
         let budget = self.serve_budget();
         let validator = self.validator();
-        let strategy = self.choose_strategy(snap, batch.len(), &budget, &tpolicy);
-        // Worker threads the batch actually occupies, for the report and
-        // the idle estimate: the claim-loop pool under query-parallel, the
-        // per-query fan-out width under shard-parallel.
-        let pool = match strategy {
-            SchedStrategy::ShardParallel => self.threads.max(1),
-            SchedStrategy::QueryParallel => workers,
+        let lanes = self.lanes(snap, batch.len(), &budget, &tpolicy);
+        let strategy = if lanes > 1 {
+            SchedStrategy::ShardParallel
+        } else {
+            SchedStrategy::QueryParallel
         };
+        let tasks = batch.len() * lanes;
+        let workers = self.threads.min(tasks).max(1);
         let cursor = AtomicUsize::new(0);
         let t0 = Instant::now();
         // Batch-level admission deadline: once blown, still-unclaimed
@@ -2935,38 +2779,41 @@ impl<O: Send + Sync> EngineCore<O> {
         let batch_deadline = (budget.batch_wall_nanos > 0)
             .then(|| t0 + Duration::from_nanos(budget.batch_wall_nanos));
 
-        // Each worker claims queries from the shared cursor and returns its
+        // Each worker claims tasks from the shared cursor and returns its
         // answered slice plus its private observability state (probe
         // tallies, sampled walls, kernel tally) — plain writes only, folded
-        // after the scope joins.
+        // after the scope joins. Task `t` is lane `t % lanes` of query
+        // `t / lanes`.
         let run_worker = || {
             let b0 = timing.then(Instant::now);
             let mut scratch = EngineScratch::new();
             scratch.obs.prepare(snap.shards.len(), timing);
             scratch.trace.prepare(tpolicy);
             scratch.ctl.batch_budget = budget.query;
+            scratch.lanes = lanes;
             let mut local = Vec::new();
             let mut served = 0u64;
             loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= batch.len() {
+                let t = cursor.fetch_add(1, Ordering::Relaxed);
+                if t >= tasks {
                     break;
                 }
+                let i = t / lanes;
+                scratch.lane = t % lanes;
                 // Admission control: a blown batch deadline sheds every
                 // not-yet-claimed query outright.
                 if let Some(d) = batch_deadline {
                     if Instant::now() >= d {
-                        local.push((i, QueryResult::Shed, 0));
+                        local.push((t, QueryResult::Shed, 0));
                         continue;
                     }
                 }
                 // Malformed queries fail per-item before touching a shard.
                 if let Some(e) = self.validate(validator.as_ref(), &batch[i]) {
-                    local.push((i, QueryResult::Failed(e), 0));
+                    local.push((t, QueryResult::Failed(e), 0));
                     continue;
                 }
-                // 1-in-OBS_SAMPLE queries pay the per-segment clock reads;
-                // every query still lands in the latency histogram.
+                // 1-in-OBS_SAMPLE tasks pay the per-segment clock reads.
                 scratch.obs.sampled = timing && served.is_multiple_of(OBS_SAMPLE);
                 scratch.trace.begin(served);
                 served += 1;
@@ -2991,7 +2838,6 @@ impl<O: Send + Sync> EngineCore<O> {
                 });
                 let ns = q0.elapsed().as_nanos() as u64;
                 if timing {
-                    scratch.obs.query_wall.record(ns);
                     scratch.obs.sampled_queries += scratch.obs.sampled as u64;
                 }
                 if scratch.trace.active {
@@ -3001,7 +2847,7 @@ impl<O: Send + Sync> EngineCore<O> {
                     };
                     scratch.trace.finish(i, kind, ns);
                 }
-                local.push((i, res, ns));
+                local.push((t, res, ns));
             }
             let (kernel_rows, kernel_blocks) = scratch.qs.take_kernel_tally();
             let mut obs = std::mem::take(&mut scratch.obs);
@@ -3015,57 +2861,8 @@ impl<O: Send + Sync> EngineCore<O> {
             (local, obs, std::mem::take(&mut scratch.trace.captured))
         };
 
-        // Shard-parallel: the batch runs serially on this thread and each
-        // query fans its probe set across the pool through the
-        // single-query paths. Budgets and tracing are off by construction
-        // of the strategy, so the claim-loop machinery (degradation,
-        // per-segment sampling, capture) is not needed; validation,
-        // batch-deadline shedding, and panic isolation still apply. A
-        // panic inside the fan-out surfaces here without a shard
-        // attribution (the scoped workers' probes are not tracked
-        // per-shard on this path).
-        let run_fanned = || {
-            let b0 = timing.then(Instant::now);
-            let mut obs = ScratchObs::default();
-            obs.prepare(snap.shards.len(), timing);
-            let mut local = Vec::with_capacity(batch.len());
-            for (i, query) in batch.iter().enumerate() {
-                if let Some(d) = batch_deadline {
-                    if Instant::now() >= d {
-                        local.push((i, QueryResult::Shed, 0));
-                        continue;
-                    }
-                }
-                if let Some(e) = self.validate(validator.as_ref(), query) {
-                    local.push((i, QueryResult::Failed(e), 0));
-                    continue;
-                }
-                let q0 = Instant::now();
-                let res = catch_unwind(AssertUnwindSafe(|| match query {
-                    Query::Range { q, radius } => {
-                        QueryResult::Range(self.range_query(snap, q, *radius))
-                    }
-                    Query::Knn { q, k } => QueryResult::Knn(self.knn_query(snap, q, *k)),
-                }))
-                .unwrap_or(QueryResult::Failed(QueryError::Panicked { shard: None }));
-                let ns = q0.elapsed().as_nanos() as u64;
-                if timing {
-                    obs.query_wall.record(ns);
-                }
-                local.push((i, res, ns));
-            }
-            if timing {
-                if let Some(t) = b0 {
-                    obs.busy_nanos = t.elapsed().as_nanos() as u64;
-                }
-            }
-            (local, obs, Vec::new())
-        };
-
         type WorkerOut = (Vec<(usize, QueryResult, u64)>, ScratchObs, Vec<QueryTrace>);
-        let collected: Vec<WorkerOut> = if strategy == SchedStrategy::ShardParallel {
-            vec![run_fanned()]
-        } else if workers <= 1 {
+        let collected: Vec<WorkerOut> = if workers <= 1 {
             vec![run_worker()]
         } else {
             crossbeam::thread::scope(|scope| {
@@ -3093,48 +2890,55 @@ impl<O: Send + Sync> EngineCore<O> {
             self.pruned.load(Ordering::Relaxed),
         );
 
-        let mut results: Vec<Option<QueryResult>> = (0..batch.len()).map(|_| None).collect();
-        let mut nanos = Vec::with_capacity(if timing { 0 } else { batch.len() });
-        let mut total_results = 0usize;
-        let (mut degraded, mut shed, mut failed) = (0usize, 0usize, 0usize);
+        let mut slots: Vec<Option<(QueryResult, u64)>> = (0..tasks).map(|_| None).collect();
         let mut agg = ScratchObs::default();
         let mut traces: Vec<QueryTrace> = Vec::new();
         for (local, wobs, wtraces) in collected {
-            for (i, res, ns) in local {
-                total_results += res.len();
-                let executed = match &res {
-                    QueryResult::PartialRange(..) | QueryResult::PartialKnn(..) => {
-                        degraded += 1;
-                        true
-                    }
-                    QueryResult::Shed => {
-                        shed += 1;
-                        false
-                    }
-                    QueryResult::Failed(e) => {
-                        failed += 1;
-                        // Validation rejections never ran; contained
-                        // panics did and carry a real wall.
-                        matches!(e, QueryError::Panicked { .. })
-                    }
-                    _ => true,
-                };
-                if !timing && executed {
-                    nanos.push(ns);
-                }
-                results[i] = Some(res);
+            for (t, res, ns) in local {
+                slots[t] = Some((res, ns));
             }
             agg.merge(wobs);
             traces.extend(wtraces);
+        }
+        let mut results = Vec::with_capacity(batch.len());
+        let mut nanos = Vec::with_capacity(if timing { 0 } else { batch.len() });
+        let mut total_results = 0usize;
+        let (mut degraded, mut shed, mut failed) = (0usize, 0usize, 0usize);
+        for (query, parts) in batch.iter().zip(slots.chunks_mut(lanes)) {
+            let (res, ns) = merge_lanes(query, parts);
+            total_results += res.len();
+            let executed = match &res {
+                QueryResult::PartialRange(..) | QueryResult::PartialKnn(..) => {
+                    degraded += 1;
+                    true
+                }
+                QueryResult::Shed => {
+                    shed += 1;
+                    false
+                }
+                QueryResult::Failed(e) => {
+                    failed += 1;
+                    // Validation rejections never ran; contained
+                    // panics did and carry a real wall.
+                    matches!(e, QueryError::Panicked { .. })
+                }
+                _ => true,
+            };
+            // Every executed query's latency lands once, whether it ran
+            // whole or split.
+            if executed {
+                if timing {
+                    agg.query_wall.record(ns);
+                } else {
+                    nanos.push(ns);
+                }
+            }
+            results.push(res);
         }
         // Batch order; the cap is per batch (each worker already respected
         // it individually, the merge enforces it globally).
         traces.sort_by_key(|t| t.query);
         traces.truncate(tpolicy.max_captured);
-        let results: Vec<QueryResult> = results
-            .into_iter()
-            .map(|r| r.expect("every batch slot served exactly once"))
-            .collect();
 
         // Per-shard breakdown: probe counts and counter deltas are exact
         // regardless of the obs switch; the wall columns come from the
@@ -3178,7 +2982,7 @@ impl<O: Send + Sync> EngineCore<O> {
             // Phase walls for plan/scan/merge cover the sampled queries
             // only; extrapolate by the sampling stride so they read as
             // batch-level estimates next to the exact `serve` wall.
-            let idle_nanos = (wall_nanos * pool as u64).saturating_sub(agg.busy_nanos);
+            let idle_nanos = (wall_nanos * workers as u64).saturating_sub(agg.busy_nanos);
             self.obs.phase_add(
                 "serve",
                 1,
@@ -3186,7 +2990,7 @@ impl<O: Send + Sync> EngineCore<O> {
                 &[
                     ("queries", batch.len() as u64),
                     ("results", total_results as u64),
-                    ("workers", pool as u64),
+                    ("workers", workers as u64),
                     ("shards_probed", probed1 - probed0),
                     ("shards_pruned", pruned1 - pruned0),
                     ("compdists", cost.compdists),
@@ -3241,7 +3045,7 @@ impl<O: Send + Sync> EngineCore<O> {
             shed,
             failed,
             shards: snap.shards.len(),
-            threads: pool,
+            threads: workers,
             epoch: snap.epoch,
             wall_secs,
             qps: if wall_secs > 0.0 {
@@ -3290,8 +3094,9 @@ impl<O: Send + Sync> ShardedEngine<O> {
         self.core.serve(&snap, batch)
     }
 
-    /// Metric range query `MRQ(q, r)` against the current snapshot. See
-    /// [`EngineCore`]'s fan-out notes on the serving paths.
+    /// Metric range query `MRQ(q, r)` against the current snapshot, probed
+    /// serially on the calling thread (`serve(&[q])` is the form that may
+    /// split a query across workers).
     pub fn range_query(&self, q: &O, radius: f64) -> Vec<ObjId> {
         let snap = self.core.snapshot();
         self.core.range_query(&snap, q, radius)
@@ -4149,12 +3954,13 @@ mod tests {
         }
     }
 
-    /// 4-shard round-robin engine whose shard 1 panics on every query.
+    /// 4-shard round-robin engine, large enough to split single queries,
+    /// whose shard 1 panics on every query.
     fn panicky_engine(
         faults: FaultPolicy,
         threads: usize,
     ) -> (Vec<Vec<f32>>, ShardedEngine<Vec<f32>>) {
-        let objects = grid(40);
+        let objects = grid(SHARD_PARALLEL_MIN_ROWS);
         let e = ShardedEngine::build_with(
             objects.clone(),
             &EngineConfig {
@@ -4410,27 +4216,129 @@ mod tests {
     }
 
     #[test]
-    fn auto_scheduling_follows_the_cost_model() {
+    fn split_serving_matches_serial_and_brute_force() {
+        let n = SHARD_PARALLEL_MIN_ROWS;
+        let objects = grid(n);
+        let oracle = BruteForce::new(objects.clone(), L2);
+        // Lattice points tie in rings (4 neighbours at 1, 4 at √2, ...), so
+        // k = 3 and k = 7 both cut through a tie at the k-th place.
+        let queries: Vec<Query<Vec<f32>>> = [0usize, 1000, 2222, n - 1]
+            .iter()
+            .flat_map(|&i| {
+                let q = objects[i].clone();
+                [
+                    Query::range(q.clone(), 2.5),
+                    Query::knn(q.clone(), 3),
+                    Query::knn(q, 7),
+                ]
+            })
+            .collect();
+        let exact = |query: &Query<Vec<f32>>| match query {
+            Query::Range { q, radius } => {
+                let mut ids = oracle.range_query(q, *radius);
+                ids.sort_unstable();
+                QueryResult::Range(ids)
+            }
+            Query::Knn { q, k } => QueryResult::Knn(oracle.knn_query(q, *k)),
+        };
+        for shards in [3usize, 5, 8] {
+            for threads in [2usize, 3, 4] {
+                let e = engine(n, shards, threads);
+                for query in &queries {
+                    let out = e.serve(std::slice::from_ref(query));
+                    let r = &out.report;
+                    assert_eq!(r.strategy, SchedStrategy::ShardParallel);
+                    assert_eq!(r.threads, threads.min(shards), "one worker per lane");
+                    assert_eq!((r.shards_probed, r.shards_pruned), (shards as u64, 0));
+                    assert!(r.per_shard.iter().all(|s| s.probes == 1));
+                    assert_eq!(out.results[0], e.execute(query), "P={shards} T={threads}");
+                    assert_eq!(out.results[0], exact(query), "P={shards} T={threads}");
+                }
+            }
+        }
+
+        // One quarantined shard: every lane routes around it and the merged
+        // partial answer is the serial path's, byte for byte.
+        let e = engine(n, 5, 3);
+        e.core.quarantine.note_panic(
+            2,
+            FaultPolicy {
+                quarantine_after: 1,
+            },
+        );
+        let in_live_shard = |id: &ObjId| e.locate(*id).is_some_and(|(s, _)| s != 2);
+        for query in &queries {
+            let out = e.serve(std::slice::from_ref(query));
+            assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
+            assert_eq!((out.report.shards_probed, out.report.shards_pruned), (4, 0));
+            let serial = e.execute(query);
+            assert_eq!(out.results[0], serial);
+            let skipped = Degraded {
+                shards_skipped: 1,
+                reason: DegradeReason::Quarantined,
+            };
+            match (query, &serial) {
+                (Query::Range { .. }, QueryResult::PartialRange(ids, d)) => {
+                    assert_eq!(*d, skipped);
+                    let want = exact(query);
+                    let want: Vec<ObjId> = want
+                        .as_range()
+                        .unwrap()
+                        .iter()
+                        .copied()
+                        .filter(in_live_shard)
+                        .collect();
+                    assert_eq!(*ids, want);
+                }
+                (Query::Knn { q, k }, QueryResult::PartialKnn(nbrs, d)) => {
+                    assert_eq!(*d, skipped);
+                    let mut want: Vec<Neighbor> = (0..n as ObjId)
+                        .filter(in_live_shard)
+                        .map(|id| Neighbor::new(id, L2.dist(q, &objects[id as usize])))
+                        .collect();
+                    want.sort_unstable();
+                    want.truncate(*k);
+                    assert_eq!(*nbrs, want);
+                }
+                other => panic!("expected a quarantine partial, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shard_parallel_follows_the_lane_rule() {
         let one = &[Query::range(vec![0.0f32, 0.0], 1.0)];
+        let strategy =
+            |e: &ShardedEngine<Vec<f32>>, batch: &[Query<Vec<f32>>]| e.serve(batch).report.strategy;
 
-        // Small engine: a per-query fan-out can't amortize its setup, so
-        // Auto stays query-parallel even for a narrow batch on a wide pool.
-        let e = engine(40, 4, 4);
-        assert_eq!(e.serve(one).report.strategy, SchedStrategy::QueryParallel);
-
-        // Large engine + batch narrower than the pool: Auto fans out.
+        // Narrow batch, round-robin, above the row threshold: split.
         let e = engine(SHARD_PARALLEL_MIN_ROWS, 4, 4);
         let out = e.serve(one);
         assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
-        assert_eq!(out.report.threads, 4, "reports the fan-out width");
         assert!(format!("{}", out.report).contains("shard-parallel scheduling"));
-
-        // Same engine, batch at least as wide as the pool: whole queries
-        // saturate the workers — query-parallel again.
+        let two: Vec<_> = (0..2).map(|_| one[0].clone()).collect();
+        let out = e.serve(&two);
+        assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
+        assert_eq!(out.report.threads, 4, "2 queries x 2 lanes");
+        // As wide as the pool, or fewer than two lanes to give: whole
+        // queries.
         let wide: Vec<_> = (0..4).map(|_| one[0].clone()).collect();
-        assert_eq!(e.serve(&wide).report.strategy, SchedStrategy::QueryParallel);
+        assert_eq!(strategy(&e, &wide), SchedStrategy::QueryParallel);
+        assert_eq!(
+            strategy(&e, &wide[..3]),
+            SchedStrategy::QueryParallel,
+            "4 / 3 = 1 lane"
+        );
+        let serial = engine(SHARD_PARALLEL_MIN_ROWS, 4, 1);
+        assert_eq!(strategy(&serial, one), SchedStrategy::QueryParallel);
+        let fused = engine(SHARD_PARALLEL_MIN_ROWS, 1, 4);
+        assert_eq!(strategy(&fused, one), SchedStrategy::QueryParallel);
 
-        // Budgets pin the claim loop regardless of size or batch shape.
+        // Small: a lane cannot amortize its worker.
+        let small = engine(SHARD_PARALLEL_MIN_ROWS - 1, 4, 4);
+        assert_eq!(strategy(&small, one), SchedStrategy::QueryParallel);
+
+        // A budget or tracing pins whole queries; lifting it splits again.
         e.set_budget(ServeBudget {
             query: QueryBudget {
                 wall_nanos: u64::MAX / 4,
@@ -4438,61 +4346,75 @@ mod tests {
             },
             batch_wall_nanos: 0,
         });
-        assert_eq!(e.serve(one).report.strategy, SchedStrategy::QueryParallel);
+        assert_eq!(strategy(&e, one), SchedStrategy::QueryParallel);
         e.set_budget(ServeBudget::unlimited());
-        assert_eq!(e.serve(one).report.strategy, SchedStrategy::ShardParallel);
+        e.set_trace_policy(TracePolicy::slow(1.0));
+        assert_eq!(strategy(&e, one), SchedStrategy::QueryParallel);
+        e.set_trace_policy(TracePolicy::disabled());
+        assert_eq!(strategy(&e, one), SchedStrategy::ShardParallel);
 
-        // Forcing the policy overrides the size heuristic but never the
-        // feasibility guards (one worker / one shard serve query-parallel).
-        let mut small = engine(40, 4, 4);
-        small.set_sched(SchedPolicy::ShardParallel);
-        assert_eq!(small.sched_policy(), SchedPolicy::ShardParallel);
-        assert_eq!(
-            small.serve(one).report.strategy,
-            SchedStrategy::ShardParallel
+        // Routed: the best-first kNN cutoff needs one probe sequence.
+        let objects = grid(SHARD_PARALLEL_MIN_ROWS);
+        let origin = vec![0.0f32, 0.0];
+        let mapper = move |o: &Vec<f32>, out: &mut Vec<f64>| {
+            out.push(L2.dist(o.as_slice(), origin.as_slice()))
+        };
+        let mapped = PivotMatrix::from_rows(
+            1,
+            objects
+                .iter()
+                .map(|o| [L2.dist(o.as_slice(), [0.0f32, 0.0].as_slice())]),
         );
-        let mut serial = engine(40, 4, 1);
-        serial.set_sched(SchedPolicy::ShardParallel);
-        assert_eq!(
-            serial.serve(one).report.strategy,
-            SchedStrategy::QueryParallel
-        );
-        let mut fused = engine(40, 1, 4);
-        fused.set_sched(SchedPolicy::ShardParallel);
-        assert_eq!(
-            fused.serve(one).report.strategy,
-            SchedStrategy::QueryParallel
-        );
+        let assignment: Vec<usize> = (0..objects.len()).map(|i| i % 2).collect();
+        let router = RoutingTable::from_assignment(mapper, 1, &mapped, &assignment, 2);
+        let routed = ShardedEngine::build_partitioned_with(
+            objects,
+            &assignment,
+            router,
+            &EngineConfig {
+                shards: 2,
+                threads: 4,
+                ..EngineConfig::default()
+            },
+            |_, part| brute_factory(part),
+        )
+        .unwrap();
+        assert_eq!(strategy(&routed, one), SchedStrategy::QueryParallel);
     }
 
     #[test]
-    fn both_strategies_serve_identical_answers() {
-        let objects = grid(60);
-        let batch: Vec<Query<Vec<f32>>> = (0..12)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Query::range(objects[i * 3].clone(), 3.0)
-                } else {
-                    Query::knn(objects[i * 3].clone(), 5)
-                }
-            })
-            .collect();
-        let mut e = engine(60, 3, 2);
-        e.set_sched(SchedPolicy::QueryParallel);
-        let qp = e.serve(&batch);
-        e.set_sched(SchedPolicy::ShardParallel);
-        let sp = e.serve(&batch);
-        assert_eq!(qp.report.strategy, SchedStrategy::QueryParallel);
-        assert_eq!(sp.report.strategy, SchedStrategy::ShardParallel);
-        assert_eq!(qp.results, sp.results);
-        assert_eq!(sp.report.failed, 0);
-        assert_eq!(sp.report.shed, 0);
-        // Both paths validate: a malformed query fails per-item on the
-        // fanned path too.
-        let bad = e.serve(&[Query::range(objects[0].clone(), -1.0)]);
-        assert_eq!(
-            bad.results[0],
-            QueryResult::Failed(QueryError::NegativeRadius)
-        );
+    fn split_query_panics_are_attributed_and_quarantine() {
+        silent_panics(|| {
+            let (objects, e) = panicky_engine(
+                FaultPolicy {
+                    quarantine_after: 2,
+                },
+                2,
+            );
+            let q = Query::range(objects[0].clone(), 1.0);
+            // Shard 1 sits in lane 1 of 2; its panic is attributed there
+            // and counts toward the quarantine like any claim-loop panic.
+            for call in 1..=2u32 {
+                let out = e.serve(std::slice::from_ref(&q));
+                assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
+                assert_eq!(
+                    out.results[0],
+                    QueryResult::Failed(QueryError::Panicked { shard: Some(1) })
+                );
+                assert_eq!(out.report.failed, 1);
+                assert_eq!(e.fault_states()[1].panics, call);
+            }
+            assert_eq!(e.quarantined_shards(), vec![1]);
+            // Quarantined: both lanes route around shard 1, exactly as the
+            // serial path does.
+            let out = e.serve(std::slice::from_ref(&q));
+            assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
+            assert_eq!(out.results[0], e.execute(&q));
+            let QueryResult::PartialRange(_, d) = &out.results[0] else {
+                panic!("expected a quarantine partial, got {:?}", out.results[0]);
+            };
+            assert_eq!(d.shards_skipped, 1);
+            assert_eq!(d.reason, DegradeReason::Quarantined);
+        });
     }
 }

@@ -35,10 +35,12 @@
 //!   when a batch leaves the shards imbalanced. Every [`ApplyReport`]
 //!   counter is exact.
 //!
-//! Shard-level parallelism is also available per query:
-//! [`ShardedEngine::range_query`] and [`ShardedEngine::knn_query`] fan a
-//! single query across all shards on scoped threads and merge, which is the
-//! low-latency path for one-off queries.
+//! Shard-level parallelism is also available per query: when a batch is
+//! narrower than the pool, `serve` on a large round-robin engine splits
+//! each query into shard lanes, one worker each, and merges the lane
+//! partials once ([`SchedStrategy::ShardParallel`]).
+//! [`ShardedEngine::range_query`] and [`ShardedEngine::knn_query`] probe
+//! serially on the calling thread.
 //!
 //! # Example
 //!
@@ -76,7 +78,7 @@ pub mod update;
 
 pub use engine::{
     BatchOutcome, EngineConfig, EngineError, EngineReader, EngineScratch, EngineSnapshot,
-    SchedPolicy, ShardedEngine,
+    ShardedEngine,
 };
 pub use merge::TopK;
 pub use pmi_obs::{QueryTrace, TraceEvent, TraceKind, TracePolicy};

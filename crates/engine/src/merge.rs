@@ -1,5 +1,8 @@
-//! Global top-k merging via a bounded binary heap.
+//! Merging partial answers: global top-k via a bounded binary heap, range
+//! unions, and the lane partials of a split query.
 
+use crate::query::{Query, QueryResult};
+use crate::robust::Degraded;
 use pmi_metric::Neighbor;
 use std::collections::BinaryHeap;
 
@@ -94,13 +97,54 @@ impl TopK {
     }
 }
 
-/// Merges per-shard range answers (already mapped to global ids) into one
-/// sorted union. Shards are disjoint partitions, so this is concatenation
-/// plus a sort for determinism.
-pub fn merge_range(partials: Vec<Vec<pmi_metric::ObjId>>) -> Vec<pmi_metric::ObjId> {
-    let mut out: Vec<pmi_metric::ObjId> = partials.into_iter().flatten().collect();
-    out.sort_unstable();
-    out
+/// Folds one query's lane partials (in lane order) into its answer and
+/// wall. A query that ran whole has one part, returned as is. For a split
+/// query the first lane that did not answer (`Failed`/`Shed`) decides;
+/// otherwise range ids concatenate and sort once (shards are disjoint),
+/// kNN lists merge through one [`TopK`], skipped shards add up under the
+/// first skip's reason, and the wall is the slowest lane's.
+pub(crate) fn merge_lanes<O>(
+    query: &Query<O>,
+    parts: &mut [Option<(QueryResult, u64)>],
+) -> (QueryResult, u64) {
+    let mut parts = parts
+        .iter_mut()
+        .map(|p| p.take().expect("every task served exactly once"));
+    if parts.len() == 1 {
+        return parts.next().expect("one part");
+    }
+    let k = match query {
+        Query::Knn { k, .. } => *k,
+        Query::Range { .. } => 0,
+    };
+    let (mut ids, mut topk) = (Vec::new(), TopK::new(k));
+    let (mut wall, mut unanswered, mut degraded) = (0, None, None::<Degraded>);
+    for (res, ns) in parts {
+        wall = wall.max(ns);
+        if let QueryResult::PartialRange(_, d) | QueryResult::PartialKnn(_, d) = &res {
+            let acc = degraded.get_or_insert(Degraded {
+                shards_skipped: 0,
+                ..*d
+            });
+            acc.shards_skipped += d.shards_skipped;
+        }
+        match res {
+            QueryResult::Range(v) | QueryResult::PartialRange(v, _) => ids.extend(v),
+            QueryResult::Knn(v) | QueryResult::PartialKnn(v, _) => topk.offer_all(v),
+            other => {
+                unanswered.get_or_insert(other);
+            }
+        }
+    }
+    ids.sort_unstable();
+    let res = match (unanswered, query, degraded) {
+        (Some(res), ..) => res,
+        (None, Query::Range { .. }, None) => QueryResult::Range(ids),
+        (None, Query::Range { .. }, Some(d)) => QueryResult::PartialRange(ids, d),
+        (None, Query::Knn { .. }, None) => QueryResult::Knn(topk.into_sorted()),
+        (None, Query::Knn { .. }, Some(d)) => QueryResult::PartialKnn(topk.into_sorted(), d),
+    };
+    (res, wall)
 }
 
 #[cfg(test)]
@@ -148,9 +192,45 @@ mod tests {
     }
 
     #[test]
-    fn merge_range_unions_sorted() {
-        let merged = merge_range(vec![vec![7, 1], vec![], vec![4, 2]]);
-        assert_eq!(merged, vec![1, 2, 4, 7]);
+    fn lane_partials_merge_once() {
+        let range = Query::range(0u8, 1.0);
+        let mut parts = [
+            Some((QueryResult::Range(vec![7, 1]), 5)),
+            Some((QueryResult::Range(vec![]), 9)),
+            Some((QueryResult::Range(vec![4, 2]), 3)),
+        ];
+        let merged = merge_lanes(&range, &mut parts);
+        assert_eq!(merged, (QueryResult::Range(vec![1, 2, 4, 7]), 9));
+        assert!(parts.iter().all(Option::is_none), "each part taken once");
+
+        let quarantined = Degraded {
+            shards_skipped: 1,
+            reason: crate::robust::DegradeReason::Quarantined,
+        };
+        let mut parts = [
+            Some((QueryResult::Knn(vec![n(9, 1.0), n(4, 3.0)]), 2)),
+            Some((QueryResult::PartialKnn(vec![n(3, 1.0)], quarantined), 2)),
+            Some((QueryResult::PartialKnn(vec![], quarantined), 2)),
+        ];
+        let (res, _) = merge_lanes(&Query::knn(0u8, 2), &mut parts);
+        let twice = Degraded {
+            shards_skipped: 2,
+            ..quarantined
+        };
+        assert_eq!(
+            res,
+            QueryResult::PartialKnn(vec![n(3, 1.0), n(9, 1.0)], twice)
+        );
+
+        let failed = QueryResult::Failed(crate::robust::QueryError::Panicked { shard: Some(1) });
+        let mut parts = [
+            Some((QueryResult::Range(vec![3]), 1)),
+            Some((failed.clone(), 1)),
+        ];
+        assert_eq!(merge_lanes(&range, &mut parts).0, failed);
+        // A whole query passes through untouched.
+        let mut whole = [Some((QueryResult::Shed, 0))];
+        assert_eq!(merge_lanes(&range, &mut whole), (QueryResult::Shed, 0));
     }
 
     #[test]

@@ -134,8 +134,10 @@ pub struct UpdateStats {
 }
 
 /// How a [`serve`](crate::ShardedEngine::serve) batch was scheduled onto
-/// the worker pool — chosen per batch by a cost model (or pinned by
-/// [`SchedPolicy`](crate::SchedPolicy)).
+/// the worker pool. The engine chooses per batch from what it can observe
+/// (no option selects it): a query splits into lanes only on round-robin
+/// engines of at least 4096 live rows, with no budget and no tracing, when
+/// the pool has at least two idle workers per query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SchedStrategy {
     /// Workers claim whole queries; each worker probes all of its query's
@@ -143,9 +145,9 @@ pub enum SchedStrategy {
     /// around it keeps every worker busy with zero cross-thread merge.
     #[default]
     QueryParallel,
-    /// Each query's planned shard probes fan out across the worker pool
-    /// (one query at a time). Wins only when the batch is smaller than the
-    /// pool and per-query work is large enough to amortize the fan-out.
+    /// Each query splits into `lanes = min(threads / batch, shards)`
+    /// tasks; lane `j` probes the shards `s` with `s % lanes == j`, and the
+    /// lane partials merge once per query.
     ShardParallel,
 }
 

@@ -66,15 +66,8 @@ impl<O> Shard<O> {
         &self.global_ids
     }
 
-    /// Range query answered in global ids (unsorted).
-    pub fn range_global(&self, q: &O, radius: f64) -> Vec<ObjId> {
-        let mut out = Vec::new();
-        self.range_global_into(q, radius, &mut QueryScratch::new(), &mut out);
-        out
-    }
-
-    /// [`range_global`](Self::range_global) for the batch hot loop: appends
-    /// global-id answers to `out`, all transient state in `scratch`.
+    /// Range query answered in global ids: appends the (unsorted) answers
+    /// to `out`, all transient state in `scratch`.
     pub fn range_global_into(
         &self,
         q: &O,
@@ -89,20 +82,7 @@ impl<O> Shard<O> {
         }
     }
 
-    /// Local top-k offered into a global [`TopK`] collector.
-    pub fn knn_into(&self, q: &O, k: usize, topk: &mut TopK) {
-        let mut tmp = Vec::new();
-        self.knn_into_with(
-            q,
-            k,
-            f64::INFINITY,
-            &mut QueryScratch::new(),
-            &mut tmp,
-            topk,
-        );
-    }
-
-    /// [`knn_into`](Self::knn_into) for the batch hot loop: the shard's
+    /// Local top-k offered into a global [`TopK`] collector: the shard's
     /// local top-k lands in the reused `tmp` buffer and is offered into
     /// `topk` under global ids. `seed` is the collector's threshold
     /// *before* this shard is probed
@@ -111,7 +91,7 @@ impl<O> Shard<O> {
     /// (and never verify) candidates the merge would reject anyway, with
     /// byte-identical merged results (see
     /// [`MetricIndex::knn_query_into_seeded`]). Pass `f64::INFINITY` to
-    /// run unseeded (e.g. when shards are probed concurrently).
+    /// run unseeded.
     pub fn knn_into_with(
         &self,
         q: &O,
@@ -344,11 +324,14 @@ mod tests {
         let objs = vec![vec![0.0f32], vec![10.0], vec![20.0]];
         let idx = Box::new(BruteForce::new(objs.clone(), L2));
         let shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![4, 9, 14]);
-        let mut hits = shard.range_global(&vec![0.0f32], 10.5);
+        let mut qs = QueryScratch::new();
+        let mut hits = Vec::new();
+        shard.range_global_into(&vec![0.0f32], 10.5, &mut qs, &mut hits);
         hits.sort_unstable();
         assert_eq!(hits, vec![4, 9]);
         let mut topk = TopK::new(2);
-        shard.knn_into(&vec![21.0f32], 2, &mut topk);
+        let seed = f64::INFINITY;
+        shard.knn_into_with(&vec![21.0f32], 2, seed, &mut qs, &mut Vec::new(), &mut topk);
         let got = topk.into_sorted();
         assert_eq!(got[0].id, 14);
         assert_eq!(got[1].id, 9);
@@ -360,8 +343,8 @@ mod tests {
         let mut shard = Shard::new(idx as Box<dyn MetricIndex<_>>, vec![7]);
         shard.insert(vec![5.0f32], 42);
         assert_eq!(shard.len(), 2);
-        let mut hits = shard.range_global(&vec![5.0f32], 0.1);
-        hits.sort_unstable();
+        let mut hits = Vec::new();
+        shard.range_global_into(&vec![5.0f32], 0.1, &mut QueryScratch::new(), &mut hits);
         assert_eq!(hits, vec![42]);
     }
 }

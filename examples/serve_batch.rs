@@ -129,9 +129,8 @@ fn main() {
     // distances stay f64 — the stored rows carry a conservative rounding
     // slack, so the bounds remain admissible and the answers stay
     // byte-identical to the F64 engine. The report's first line names the
-    // active batch scheduling strategy (wide batches assign whole queries
-    // to workers; narrow batches on large engines fan each query across
-    // shards instead).
+    // batch scheduling strategy the engine chose (wide batches assign
+    // whole queries to workers).
     println!("\ncolumn modes (LAESA, P=8, pivot-space):");
     let f64_answers = {
         let e = build_sharded_vector_engine(
@@ -177,9 +176,26 @@ fn main() {
         pmr::ColumnMode::F64.label(),
         wide.results == f64_answers,
     );
-    let narrow = f32_engine.serve(&batch[..2]);
+    // A batch narrower than the pool on a large round-robin engine splits
+    // each query into shard lanes, one worker per lane (pivot-space
+    // engines keep whole queries: their best-first kNN cutoff needs one
+    // probe sequence). Four workers give each of 2 queries 2 lanes.
+    let round_robin = build_sharded_vector_engine(
+        IndexKind::Laesa,
+        pts.clone(),
+        L2,
+        &opts,
+        &EngineConfig {
+            shards: 8,
+            threads: 4,
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::RoundRobin,
+    )
+    .expect("buildable");
+    let narrow = round_robin.serve(&batch[..2]);
     println!(
-        "  narrow batch ({} queries on {} workers) chose {} scheduling",
+        "  narrow batch ({} queries on {} workers, round-robin) chose {} scheduling",
         2,
         narrow.report.threads,
         narrow.report.strategy.label(),

@@ -67,11 +67,11 @@
 //! (`BuildOptions { column_mode: ColumnMode::F32, .. }`, results stay
 //! byte-identical), the explicit-SIMD scan kernel with runtime
 //! dispatch (`pmr::metric::simd::tier()`, override with `PMI_SIMD`),
-//! and batch scheduling (`EngineConfig::sched`, the chosen
-//! [`SchedStrategy`] on every `out.report.strategy`) — is documented
-//! in `docs/performance.md`: the conservative-rounding admissibility
+//! and batch scheduling (one claim loop; the [`SchedStrategy`] it chose
+//! on every `out.report.strategy`) — is documented in
+//! `docs/performance.md`: the conservative-rounding admissibility
 //! argument, the SIMD tier table and bit-identity contract, the
-//! scheduling cost model, and the committed bench gates
+//! lane rule for splitting narrow batches, and the committed bench gates
 //! (`kernel.f32_speedup_ok`, `f32.exact_ok`, `sched.scaling_ok`).
 
 pub use pmi::*;

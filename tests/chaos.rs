@@ -23,8 +23,8 @@ use pmr::engine::{EngineConfig, Query, QueryResult};
 use pmr::fault::{self, FaultKind, FaultPlan, FaultSpec};
 use pmr::{
     build_sharded_vector_engine, BruteForce, ColumnMode, Counters, DegradeReason, FaultPolicy,
-    MetricIndex, ObjId, PartitionPolicy, QueryBudget, QueryError, RefreshPolicy, ServeBudget,
-    ShardedEngine, UpdateBatch, L2,
+    MetricIndex, ObjId, PartitionPolicy, QueryBudget, QueryError, RefreshPolicy, SchedStrategy,
+    ServeBudget, ShardedEngine, UpdateBatch, L2,
 };
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -284,6 +284,80 @@ fn injected_probe_delays_trip_the_query_deadline() {
 
     fault::clear();
     e.set_budget(ServeBudget::unlimited());
+    let again = e.serve(std::slice::from_ref(&q));
+    assert_eq!(again.results[0], exact.results[0]);
+}
+
+/// A single query on a round-robin engine above the split threshold runs
+/// as one lane per worker (`shard-parallel` scheduling). Each lane probes
+/// through the same fault point as the serial path, so an injected probe
+/// panic fires, is attributed to its shard, and trips the quarantine.
+#[test]
+fn split_single_query_attributes_probe_faults() {
+    quiet_injected_panics();
+    let _g = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fault::clear();
+
+    let pts = pmr::datasets::la(4096, 11);
+    let e = build_sharded_vector_engine(
+        IndexKind::Laesa,
+        pts.clone(),
+        L2,
+        &opts(),
+        &EngineConfig {
+            shards: 4,
+            threads: 2,
+            faults: FaultPolicy {
+                quarantine_after: 2,
+            },
+            ..EngineConfig::default()
+        },
+        PartitionPolicy::RoundRobin,
+    )
+    .unwrap();
+    let q = Query::range(pts[3].clone(), 500.0);
+    let exact = e.serve(std::slice::from_ref(&q));
+    assert_eq!(exact.report.strategy, SchedStrategy::ShardParallel);
+    let QueryResult::Range(exact_ids) = &exact.results[0] else {
+        panic!("exact serve must be a Range");
+    };
+
+    let faulted = 2u32;
+    fault::install(FaultPlan::new().with(FaultSpec::always(
+        "engine.probe",
+        Some(u64::from(faulted)),
+        FaultKind::Panic,
+    )));
+    for call in 1..=2u64 {
+        let out = e.serve(std::slice::from_ref(&q));
+        assert_eq!(out.report.strategy, SchedStrategy::ShardParallel);
+        assert_eq!(
+            out.results[0],
+            QueryResult::Failed(QueryError::Panicked {
+                shard: Some(faulted)
+            }),
+            "call {call}: the panic names the faulted shard"
+        );
+        assert_eq!(fault::fired(), vec![call], "the fault point was reached");
+    }
+    assert_eq!(e.quarantined_shards(), vec![faulted as usize]);
+
+    // Quarantined: the split routes around the shard, so the fault point
+    // is no longer reached and the answer degrades to a partial subset.
+    let out = e.serve(std::slice::from_ref(&q));
+    let QueryResult::PartialRange(ids, d) = &out.results[0] else {
+        panic!("expected a quarantine partial, got {:?}", out.results[0]);
+    };
+    assert_eq!(d.reason, DegradeReason::Quarantined);
+    assert_eq!(d.shards_skipped, 1);
+    assert!(
+        ids.iter().all(|id| exact_ids.contains(id)),
+        "partial ⊆ exact"
+    );
+    assert_eq!(fault::fired(), vec![2]);
+
+    fault::clear();
+    assert_eq!(e.heal(), 1);
     let again = e.serve(std::slice::from_ref(&q));
     assert_eq!(again.results[0], exact.results[0]);
 }
